@@ -61,8 +61,11 @@ impl Default for HyperoptOptions {
 /// likelihood (kernel lengthscales, signal variance, and observation
 /// noise jointly).
 ///
-/// `template` supplies the kernel family and dimensionality; its current
-/// hyperparameters seed one of the restarts.
+/// `template` supplies the kernel family and dimensionality. Every
+/// restart starts from a random point drawn from `rng`; the template's
+/// own hyperparameters (at noise `1e-4`) only give the fallback fit,
+/// returned when no searched setting reaches a higher marginal
+/// likelihood.
 ///
 /// # Errors
 ///

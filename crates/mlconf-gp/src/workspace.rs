@@ -120,24 +120,60 @@ impl DistanceWorkspace {
         );
         crate::ops::add_kernel_evals((self.n as u64 * (self.n as u64 + 1)) / 2);
         let sv = kernel.signal_variance();
-        let inv_l2: Vec<f64> = kernel
-            .lengthscales()
-            .iter()
-            .map(|l| 1.0 / (l * l))
-            .collect();
-        let mut pair = 0;
-        for i in 0..self.n {
-            for j in 0..=i {
-                let block = &self.sq[pair * self.dims..(pair + 1) * self.dims];
-                let mut r2 = 0.0;
-                for (&d2, &w) in block.iter().zip(&inv_l2) {
-                    r2 += d2 * w;
-                }
-                let v = sv * kernel.shape(r2);
-                out[(i, j)] = v;
-                out[(j, i)] = v;
-                pair += 1;
+        // Inverse squared lengthscales, on the stack for the usual small
+        // dimensionalities so an evaluation allocates nothing.
+        let mut stack = [0.0f64; 16];
+        let mut heap = Vec::new();
+        let inv_l2: &mut [f64] = if self.dims <= stack.len() {
+            &mut stack[..self.dims]
+        } else {
+            heap.resize(self.dims, 0.0);
+            &mut heap
+        };
+        for (w, l) in inv_l2.iter_mut().zip(kernel.lengthscales()) {
+            *w = 1.0 / (l * l);
+        }
+        let inv_l2 = &*inv_l2;
+        // Four pairs' r² dot products are interleaved so four independent
+        // accumulation chains are in flight; each chain still sums its own
+        // pair's terms for d ascending from 0.0, so every entry is
+        // bit-identical to the pair-at-a-time loop.
+        let d = self.dims;
+        let pairs = self.n * (self.n + 1) / 2;
+        let (mut i, mut j) = (0, 0);
+        let mut put = |r2: f64| {
+            let v = sv * kernel.shape(r2);
+            out[(i, j)] = v;
+            out[(j, i)] = v;
+            j += 1;
+            if j > i {
+                i += 1;
+                j = 0;
             }
+        };
+        let mut p = 0;
+        while p + 4 <= pairs {
+            let block = &self.sq[p * d..(p + 4) * d];
+            let (b0, rest) = block.split_at(d);
+            let (b1, rest) = rest.split_at(d);
+            let (b2, b3) = rest.split_at(d);
+            let mut r2 = [0.0f64; 4];
+            for ((((&w, &x0), &x1), &x2), &x3) in inv_l2.iter().zip(b0).zip(b1).zip(b2).zip(b3) {
+                r2[0] += x0 * w;
+                r2[1] += x1 * w;
+                r2[2] += x2 * w;
+                r2[3] += x3 * w;
+            }
+            r2.into_iter().for_each(&mut put);
+            p += 4;
+        }
+        for p in p..pairs {
+            let block = &self.sq[p * d..(p + 1) * d];
+            let mut r2 = 0.0;
+            for (&x, &w) in block.iter().zip(inv_l2) {
+                r2 += x * w;
+            }
+            put(r2);
         }
     }
 }
@@ -155,6 +191,58 @@ mod tests {
                     .collect()
             })
             .collect()
+    }
+
+    /// The pair-at-a-time recombination loop: the oracle the interleaved
+    /// `gram_into` must match bit for bit.
+    fn gram_pairwise(ws: &DistanceWorkspace, kernel: &Kernel) -> Matrix {
+        let inv_l2: Vec<f64> = kernel
+            .lengthscales()
+            .iter()
+            .map(|l| 1.0 / (l * l))
+            .collect();
+        let mut out = Matrix::zeros(ws.n, ws.n);
+        let mut pair = 0;
+        for i in 0..ws.n {
+            for j in 0..=i {
+                let block = &ws.sq[pair * ws.dims..(pair + 1) * ws.dims];
+                let mut r2 = 0.0;
+                for (&d2, &w) in block.iter().zip(&inv_l2) {
+                    r2 += d2 * w;
+                }
+                let v = kernel.signal_variance() * kernel.shape(r2);
+                out[(i, j)] = v;
+                out[(j, i)] = v;
+                pair += 1;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn interleaved_gram_is_bit_identical_to_pairwise() {
+        // n = 1..=9 gives pair counts 1, 3, 6, 10, 15, 21, 28, 36, 45:
+        // every remainder mod 4. dims = 20 exercises the heap weights.
+        for dims in [1, 3, 9, 20] {
+            for n in 1..=9 {
+                let ws = DistanceWorkspace::new(&grid(n, dims));
+                for fam in KernelFamily::all() {
+                    let mut kernel = Kernel::new(fam, dims);
+                    let log_params: Vec<f64> = (0..=dims).map(|p| 0.3 - 0.45 * p as f64).collect();
+                    kernel.set_log_params(&log_params);
+                    let mut fast = Matrix::zeros(n, n);
+                    fast[(0, 0)] = f64::NAN; // every entry must be overwritten
+                    ws.gram_into(&kernel, &mut fast);
+                    let oracle = gram_pairwise(&ws, &kernel);
+                    let same = fast
+                        .as_slice()
+                        .iter()
+                        .zip(oracle.as_slice())
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(same, "{fam}, n = {n}, dims = {dims}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -352,15 +352,20 @@ impl Parser<'_> {
                 }
                 b if b < 0x20 => return Err(self.err("raw control character in string")),
                 _ => {
-                    // Take the full UTF-8 character starting at the byte
-                    // just consumed; the input came from a `&str`, and
-                    // chars are always consumed whole, so this offset is
-                    // a character boundary.
+                    // Copy the whole run of plain characters up to the
+                    // next quote, escape or control byte. The input came
+                    // from a `&str` and those stop bytes are ASCII, so the
+                    // run is whole characters; decoding only the run keeps
+                    // the parse linear in the input length.
                     let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..]).expect("input was a str");
-                    let c = s.chars().next().expect("peeked byte exists");
-                    self.pos = start + c.len_utf8();
-                    out.push(c);
+                    let len = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    self.pos += len;
+                    let run =
+                        std::str::from_utf8(&self.bytes[start..self.pos]).expect("input was a str");
+                    out.push_str(run);
                 }
             }
         }
@@ -489,6 +494,50 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn large_status_body_parses_in_linear_time() {
+        // Shaped like `GET /sessions/{id}`: a long `history` array of
+        // trials whose configs are mostly strings. Parsing used to
+        // re-validate the whole remaining input for every string
+        // character, which took seconds at a few hundred kilobytes.
+        let trial = |i: usize| {
+            obj([
+                ("trial", Json::Num(i as f64)),
+                (
+                    "config",
+                    obj([
+                        ("machine_type", Json::Str("c4.8xlarge".into())),
+                        ("arch", Json::Str("ps".into())),
+                        ("sync", Json::Str("ssp — stale\tsynchrone".into())),
+                        ("num_nodes", Json::Num((i % 32) as f64)),
+                        ("compress", Json::Bool(i.is_multiple_of(2))),
+                    ]),
+                ),
+                (
+                    "outcome",
+                    obj([
+                        ("objective", Json::Num(4128.858073580357 + i as f64)),
+                        ("failure", Json::Str(format!("trial {i} \u{1f600} ok"))),
+                    ]),
+                ),
+            ])
+        };
+        let body = obj([
+            ("id", Json::Str("s-000001".into())),
+            ("history", Json::Arr((0..6000).map(trial).collect())),
+        ])
+        .render();
+        assert!(body.len() >= 1 << 20, "body is {} bytes", body.len());
+        let start = std::time::Instant::now();
+        let parsed = parse(&body).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(parsed.render(), body);
+        assert_eq!(parsed.get("history").unwrap().as_arr().unwrap().len(), 6000);
+        // Linear parsing takes milliseconds; the quadratic one took
+        // minutes at this size.
+        assert!(elapsed.as_secs() < 10, "parse took {elapsed:?}");
     }
 
     #[test]

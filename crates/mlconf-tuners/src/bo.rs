@@ -207,7 +207,9 @@ pub struct BoTuner {
     config: BoConfig,
     name: String,
     pending_init: Option<Vec<Configuration>>,
-    /// Kernel carried between refits (warm start).
+    /// Kernel from the last hyperparameter search. Refits between
+    /// searches reuse it unchanged; the next search gets it as the
+    /// template for its fallback fit (its restarts start at random).
     kernel: Option<Kernel>,
     /// Last fitted surrogate; when the new training data is a strict
     /// extension of what this GP saw, the next fit appends via an O(n²)

@@ -73,11 +73,27 @@ impl Cholesky {
     /// Only the lower triangle of `a` is read; symmetry of the upper
     /// triangle is the caller's responsibility.
     ///
+    /// The factor is filled column by column: the pivot `L[j][j]` first,
+    /// then rows `i > j` of column `j` four at a time, so four independent
+    /// `sum -= L[i][k]·L[j][k]` chains are in flight instead of one. Each
+    /// entry still starts at `a[i][j]` and subtracts its products for `k`
+    /// ascending, the order the textbook row-by-row loop uses, so `L` is
+    /// bit-identical to it; pivots are checked in ascending order from the
+    /// same values, so the first failing pivot and its value match too.
+    ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] for non-square input and
     /// [`LinalgError::NotPositiveDefinite`] when a pivot is non-positive.
     pub fn factor(a: &Matrix) -> Result<Self, LinalgError> {
+        Cholesky::factor_shifted(a, None)
+    }
+
+    /// [`Cholesky::factor`] of `a + shift·I`, without materializing the
+    /// shifted matrix: the lower triangle of `a` is copied into the factor
+    /// storage, the shift is added to its diagonal, and the columns are
+    /// then eliminated in place.
+    fn factor_shifted(a: &Matrix, shift: Option<f64>) -> Result<Self, LinalgError> {
         if !a.is_square() {
             return Err(LinalgError::ShapeMismatch {
                 detail: format!("cholesky of {}x{}", a.rows(), a.cols()),
@@ -86,22 +102,57 @@ impl Cholesky {
         let n = a.rows();
         let mut l = Matrix::zeros(n, n);
         for i in 0..n {
-            for j in 0..=i {
-                let mut sum = a[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
+            l.row_mut(i)[..=i].copy_from_slice(&a.row(i)[..=i]);
+            if let Some(s) = shift {
+                l[(i, i)] += s;
+            }
+        }
+        for j in 0..n {
+            let (_, rest) = l.split_rows_at_mut(j);
+            let (row_j, below) = rest.split_at_mut(n);
+            let (lj, diag) = row_j.split_at_mut(j);
+            let mut pivot = diag[0];
+            for &ljk in &*lj {
+                pivot -= ljk * ljk;
+            }
+            if pivot <= 0.0 || !pivot.is_finite() {
+                return Err(LinalgError::NotPositiveDefinite {
+                    pivot: j,
+                    value: pivot,
+                });
+            }
+            let ljj = pivot.sqrt();
+            diag[0] = ljj;
+            let lj = &*lj;
+            let mut quads = below.chunks_exact_mut(4 * n);
+            for quad in &mut quads {
+                let (r0, rest) = quad.split_at_mut(n);
+                let (r1, rest) = rest.split_at_mut(n);
+                let (r2, r3) = rest.split_at_mut(n);
+                let (mut s0, mut s1, mut s2, mut s3) = (r0[j], r1[j], r2[j], r3[j]);
+                for ((((&ljk, &a0), &a1), &a2), &a3) in lj
+                    .iter()
+                    .zip(&r0[..j])
+                    .zip(&r1[..j])
+                    .zip(&r2[..j])
+                    .zip(&r3[..j])
+                {
+                    s0 -= a0 * ljk;
+                    s1 -= a1 * ljk;
+                    s2 -= a2 * ljk;
+                    s3 -= a3 * ljk;
                 }
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return Err(LinalgError::NotPositiveDefinite {
-                            pivot: i,
-                            value: sum,
-                        });
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
+                r0[j] = s0 / ljj;
+                r1[j] = s1 / ljj;
+                r2[j] = s2 / ljj;
+                r3[j] = s3 / ljj;
+            }
+            for ri in quads.into_remainder().chunks_exact_mut(n) {
+                let mut sum = ri[j];
+                for (&ljk, &aik) in lj.iter().zip(&ri[..j]) {
+                    sum -= aik * ljk;
                 }
+                ri[j] = sum / ljj;
             }
         }
         Ok(Cholesky { l })
@@ -113,6 +164,8 @@ impl Cholesky {
     ///
     /// Kernel matrices are often ill-conditioned when two configurations
     /// nearly coincide; progressive jitter is the standard GP remedy.
+    /// No attempt copies `a`: the jitter is applied while the factor
+    /// storage is filled.
     ///
     /// # Errors
     ///
@@ -125,11 +178,8 @@ impl Cholesky {
         let mut jitter = initial_jitter;
         let mut last_err = LinalgError::Singular;
         for attempt in 0..max_tries.max(1) {
-            let mut m = a.clone();
-            if attempt > 0 || jitter > 0.0 {
-                m.add_diagonal(jitter);
-            }
-            match Cholesky::factor(&m) {
+            let shift = (attempt > 0 || jitter > 0.0).then_some(jitter);
+            match Cholesky::factor_shifted(a, shift) {
                 Ok(c) => return Ok((c, jitter)),
                 Err(e) => {
                     last_err = e;
@@ -422,6 +472,100 @@ mod tests {
         a
     }
 
+    /// The textbook row-by-row Cholesky loop: the oracle the
+    /// column-interleaved [`Cholesky::factor`] must match bit for bit.
+    pub(super) fn factor_row_order(a: &Matrix) -> Result<Matrix, LinalgError> {
+        let n = a.rows();
+        let mut l = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let mut sum = a[(i, j)];
+                for k in 0..j {
+                    sum -= l[(i, k)] * l[(j, k)];
+                }
+                if i == j {
+                    if sum <= 0.0 || !sum.is_finite() {
+                        return Err(LinalgError::NotPositiveDefinite {
+                            pivot: i,
+                            value: sum,
+                        });
+                    }
+                    l[(i, j)] = sum.sqrt();
+                } else {
+                    l[(i, j)] = sum / l[(j, j)];
+                }
+            }
+        }
+        Ok(l)
+    }
+
+    /// Bitwise equality of two factors (`==` would equate `0.0` and
+    /// `-0.0`).
+    pub(super) fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+        a.rows() == b.rows()
+            && a.cols() == b.cols()
+            && a.as_slice()
+                .iter()
+                .zip(b.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    #[test]
+    fn factor_is_bit_identical_to_row_order_for_every_size() {
+        // Covers every `n % 4`, so both the four-row blocks and every
+        // remainder length run.
+        for n in 0..=40 {
+            let a = spd_matrix(n, 100 + n as u64);
+            let fast = Cholesky::factor(&a).unwrap();
+            let oracle = factor_row_order(&a).unwrap();
+            assert!(same_bits(fast.l(), &oracle), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn non_spd_failure_matches_row_order() {
+        // SPD except for one negated diagonal entry in the middle, so the
+        // failing pivot comes after earlier columns are eliminated.
+        for n in 2..=24 {
+            let mut a = spd_matrix(n, 200 + n as u64);
+            let k = n / 2;
+            a[(k, k)] = -a[(k, k)];
+            let fast = Cholesky::factor(&a).unwrap_err();
+            let oracle = factor_row_order(&a).unwrap_err();
+            match (fast, oracle) {
+                (
+                    LinalgError::NotPositiveDefinite { pivot, value },
+                    LinalgError::NotPositiveDefinite {
+                        pivot: want_pivot,
+                        value: want_value,
+                    },
+                ) => {
+                    assert_eq!(pivot, want_pivot, "n = {n}");
+                    assert_eq!(value.to_bits(), want_value.to_bits(), "n = {n}");
+                }
+                other => panic!("n = {n}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn jitter_schedule_matches_shifting_a_copy() {
+        // Semidefinite (rank 1), so the schedule must climb; every attempt
+        // factors `a + jitter·I` without copying `a`.
+        let v: Vec<f64> = (0..9).map(|i| 0.3 + i as f64 * 0.1).collect();
+        let a = Matrix::from_fn(9, 9, |i, j| v[i] * v[j]);
+        let (chol, jitter) = Cholesky::factor_with_jitter(&a, 0.0, 15).unwrap();
+        assert!(jitter > 0.0);
+        let mut shifted = a.clone();
+        shifted.add_diagonal(jitter);
+        assert!(same_bits(chol.l(), &factor_row_order(&shifted).unwrap()));
+        // A zero-jitter success is the plain factor.
+        let b = spd_matrix(7, 9);
+        let (chol, jitter) = Cholesky::factor_with_jitter(&b, 0.0, 12).unwrap();
+        assert_eq!(jitter, 0.0);
+        assert!(same_bits(chol.l(), Cholesky::factor(&b).unwrap().l()));
+    }
+
     #[test]
     fn factor_reconstructs() {
         let a = spd_matrix(6, 1);
@@ -602,6 +746,62 @@ mod proptests {
     }
 
     proptest! {
+        #[test]
+        fn factor_matches_row_order_bitwise(
+            n in 1usize..=40,
+            diag in 1e-6f64..2.0,
+            raw in proptest::collection::vec(-1.0f64..1.0, 1600),
+        ) {
+            let b = Matrix::from_fn(n, n, |i, j| raw[i * n + j]);
+            let mut a = &b * &b.transpose();
+            a.add_diagonal(diag);
+            let fast = Cholesky::factor(&a);
+            let oracle = super::tests::factor_row_order(&a);
+            match (fast, oracle) {
+                (Ok(fast), Ok(oracle)) => {
+                    prop_assert!(super::tests::same_bits(fast.l(), &oracle));
+                }
+                (
+                    Err(LinalgError::NotPositiveDefinite { pivot, value }),
+                    Err(LinalgError::NotPositiveDefinite { pivot: p, value: v }),
+                ) => {
+                    prop_assert_eq!(pivot, p);
+                    prop_assert_eq!(value.to_bits(), v.to_bits());
+                }
+                (fast, oracle) => prop_assert!(false, "{fast:?} vs {oracle:?}"),
+            }
+        }
+
+        #[test]
+        fn indefinite_fails_like_row_order(
+            n in 1usize..=24,
+            k in 0usize..24,
+            dent in 0.5f64..3.0,
+            raw in proptest::collection::vec(-1.0f64..1.0, 576),
+        ) {
+            // An SPD matrix with one diagonal entry pushed down, so the
+            // failing pivot (if any) sits anywhere, not just at the top.
+            let b = Matrix::from_fn(n, n, |i, j| raw[i * n + j]);
+            let mut a = &b * &b.transpose();
+            let k = k % n;
+            a[(k, k)] *= 1.0 - dent;
+            let fast = Cholesky::factor(&a).map(|c| c.l().clone());
+            let oracle = super::tests::factor_row_order(&a);
+            match (fast, oracle) {
+                (Ok(fast), Ok(oracle)) => {
+                    prop_assert!(super::tests::same_bits(&fast, &oracle));
+                }
+                (
+                    Err(LinalgError::NotPositiveDefinite { pivot, value }),
+                    Err(LinalgError::NotPositiveDefinite { pivot: p, value: v }),
+                ) => {
+                    prop_assert_eq!(pivot, p);
+                    prop_assert_eq!(value.to_bits(), v.to_bits());
+                }
+                (fast, oracle) => prop_assert!(false, "{fast:?} vs {oracle:?}"),
+            }
+        }
+
         #[test]
         fn cholesky_reconstructs_spd(
             n in 1usize..8,
