@@ -21,9 +21,10 @@
 //! (no coordinated omission).
 //!
 //! Besides `results/e15_serve.csv`, `run` writes a `BENCH_serve.json`
-//! artifact with sustained throughput and p50/p99/p999 per cell and
-//! the acceptance booleans: sharded must match or beat single-lock on
-//! p99 at 64 concurrent sessions (and at 512 at full scale).
+//! artifact with the host's core count, sustained throughput and
+//! p50/p99/p999 per cell, and the acceptance booleans: sharded must
+//! match or beat single-lock on p99 at 64 concurrent sessions (and at
+//! 512 at full scale).
 //!
 //! Latency numbers are wall-clock measurements and therefore *not*
 //! byte-reproducible across runs — CI runs its reproducibility diff
@@ -391,8 +392,10 @@ fn run_grid(serve: &ServeScale, mode: &str) -> (Vec<Table>, String) {
             )
         })
         .collect();
+    let cores = mlconf_util::optim::auto_threads();
     let json = format!(
         "{{\n  \"experiment\": \"e15_serve\",\n  \"mode\": \"{mode}\",\n  \
+         \"host_cores\": {cores},\n  \
          \"step\": \"suggest+report over keep-alive HTTP\",\n  \
          \"window_secs\": {},\n  \"driver_threads\": {DRIVERS},\n  \
          \"acceptance\": {{\n{}\n  }},\n  \"cells\": [\n{}\n  ]\n}}\n",
@@ -447,6 +450,7 @@ mod tests {
             t.rows
         );
         assert!(json.contains("\"acceptance\""), "{json}");
+        assert!(json.contains("\"host_cores\": "), "{json}");
         assert!(
             json.contains("\"sharded_beats_single_lock_p99_at_64\""),
             "{json}"

@@ -353,6 +353,80 @@ fn serve_end_to_end_over_real_sockets() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// An idle server must block, not poll: with eight keep-alive
+/// connections open and no requests, it may use at most 3 clock ticks
+/// (30 ms at the usual 100 Hz) of CPU over 2 s.
+#[cfg(target_os = "linux")]
+#[test]
+fn idle_server_burns_no_cpu() {
+    use std::io::{BufRead, BufReader};
+    use std::net::TcpStream;
+    use std::time::Duration;
+
+    struct KillOnDrop(std::process::Child);
+    impl Drop for KillOnDrop {
+        fn drop(&mut self) {
+            self.0.kill().ok();
+            self.0.wait().ok();
+        }
+    }
+
+    /// utime + stime from `/proc/<pid>/stat`, in clock ticks.
+    fn cpu_ticks(pid: u32) -> u64 {
+        let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).unwrap();
+        // Fields after the parenthesised command name, starting at
+        // field 3 (state); utime and stime are fields 14 and 15.
+        let rest = &stat[stat.rfind(')').unwrap() + 1..];
+        let fields: Vec<&str> = rest.split_whitespace().collect();
+        fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap()
+    }
+
+    let dir = std::env::temp_dir().join(format!("mlconf_bin_idle_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut child = KillOnDrop(
+        Command::new(env!("CARGO_BIN_EXE_mlconf"))
+            .args([
+                "serve",
+                "--addr",
+                "127.0.0.1:0",
+                "--journal-dir",
+                dir.to_str().unwrap(),
+                "--snapshot-every",
+                "16",
+                "--max-sessions",
+                "128",
+            ])
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("binary spawns"),
+    );
+    let mut banner = String::new();
+    BufReader::new(child.0.stdout.take().unwrap())
+        .read_line(&mut banner)
+        .unwrap();
+    let addr = banner
+        .split_whitespace()
+        .find(|w| w.starts_with("127.0.0.1:"))
+        .unwrap_or_else(|| panic!("no address in banner: {banner}"))
+        .to_owned();
+    let _idle: Vec<TcpStream> = (0..8)
+        .map(|_| TcpStream::connect(&addr).expect("server accepts"))
+        .collect();
+    // Let the accept thread hand every connection over first.
+    std::thread::sleep(Duration::from_millis(200));
+
+    let pid = child.0.id();
+    let before = cpu_ticks(pid);
+    std::thread::sleep(Duration::from_secs(2));
+    let used = cpu_ticks(pid) - before;
+    assert!(
+        used <= 3,
+        "idle server used {used} ticks of CPU in 2 s with 8 idle connections"
+    );
+    drop(child);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn deterministic_across_invocations() {
     let run = || {

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 //! `mlconf-serve` — a Vizier-style ask/tell tuning service over a
 //! hand-rolled HTTP/1.1 stack, with per-session JSONL journaling and
 //! replay-based crash recovery.
@@ -24,7 +25,8 @@
 //!
 //! The crate is dependency-free beyond the workspace (the HTTP layer
 //! sits directly on [`std::net::TcpListener`]; JSON is parsed by
-//! [`json`]).
+//! [`json`]). It is Unix-only: idle IO shards block in `poll(2)`, its
+//! one foreign call.
 
 pub mod api;
 pub mod client;

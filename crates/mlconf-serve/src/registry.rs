@@ -770,6 +770,15 @@ impl SessionRegistry {
         apply_ops(tuner.as_mut(), &mut core, &mut last_report, &rest)?;
         let journal = Journal::open_append(path.to_owned())
             .map_err(|e| ServeError::internal(format!("cannot reopen journal: {e}")))?;
+        // A session that never reached its first checkpoint (nothing
+        // archived, no `.snap`) counts on from its journal, as `create`
+        // started it. Otherwise a checkpoint existed and was torn or
+        // rejected: the next journaled operation installs a fresh one.
+        let ops_since_snapshot = if base == 0 && !files.snap.exists() {
+            seq - 1
+        } else {
+            snapshot_every
+        };
         Ok(ServedSession {
             id: id.to_owned(),
             spec,
@@ -778,9 +787,7 @@ impl SessionRegistry {
             journal,
             files,
             seq,
-            // A full replay means the checkpoint (if any) was unusable;
-            // the next journaled operation installs a fresh one.
-            ops_since_snapshot: snapshot_every,
+            ops_since_snapshot,
             snapshot_every,
             last_report,
         })
@@ -1239,6 +1246,118 @@ mod tests {
         );
         assert_eq!(handle.lock().unwrap().status_json().render(), status_before);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One journaled operation: a suggest when no trial is pending,
+    /// else a report of a failed outcome.
+    fn one_op(registry: &SessionRegistry, id: &str) {
+        let handle = registry.get(id).unwrap();
+        let mut session = handle.lock().unwrap();
+        if session.core().pending().is_none() {
+            session.suggest().unwrap();
+        } else {
+            let outcome = mlconf_workloads::objective::TrialOutcome::failed("x", 1.0);
+            session
+                .report(&obj([("outcome", outcome_to_json(&outcome))]))
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn revival_before_first_checkpoint_installs_no_snapshot() {
+        let dir = tmpdir("revive_nosnap");
+        let twin_dir = tmpdir("revive_nosnap_twin");
+        let registry = SessionRegistry::open(
+            &dir,
+            RegistryConfig {
+                snapshot_every: 16,
+                shards: 1,
+                max_sessions: 1,
+            },
+        )
+        .unwrap();
+        let twin = SessionRegistry::open(
+            &twin_dir,
+            RegistryConfig {
+                snapshot_every: 16,
+                shards: 1,
+                max_sessions: 0,
+            },
+        )
+        .unwrap();
+        let id = registry.create(&create_body("bo", 20, 31)).unwrap();
+        let id = id.get("id").unwrap().as_str().unwrap().to_owned();
+        let twin_id = twin.create(&create_body("bo", 20, 31)).unwrap();
+        let twin_id = twin_id.get("id").unwrap().as_str().unwrap().to_owned();
+        for _ in 0..5 {
+            one_op(&registry, &id);
+            one_op(&twin, &twin_id);
+        }
+        // A second session evicts the first (idle) one to disk.
+        registry.create(&create_body("random", 2, 32)).unwrap();
+        assert_eq!(registry.shard_stats()[0].parked, 1, "first session parked");
+
+        // Revived by full replay, then one more operation: six since
+        // creation, far from the first checkpoint at sixteen.
+        one_op(&registry, &id);
+        one_op(&twin, &twin_id);
+        assert!(
+            !registry.files_for(&id).snap.exists(),
+            "needless checkpoint"
+        );
+        let revived = registry.get(&id).unwrap();
+        let mut revived = revived.lock().unwrap();
+        let kept = twin.get(&twin_id).unwrap();
+        let mut kept = kept.lock().unwrap();
+        assert_eq!(revived.status_json().render(), kept.status_json().render());
+        assert_eq!(
+            revived.suggest().unwrap().render(),
+            kept.suggest().unwrap().render()
+        );
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&twin_dir).ok();
+    }
+
+    #[test]
+    fn torn_snapshot_forces_reinstall_on_next_op() {
+        // Before the first checkpoint (garbage `.snap`, nothing archived)
+        // and after one (a real checkpoint, torn): either way the revived
+        // session's next operation installs a fresh, loadable checkpoint.
+        for (tag, ops) in [("torn_snap_early", 5), ("torn_snap_late", 20)] {
+            let dir = tmpdir(tag);
+            let config = RegistryConfig {
+                snapshot_every: 16,
+                shards: 1,
+                max_sessions: 0,
+            };
+            let registry = SessionRegistry::open(&dir, config.clone()).unwrap();
+            let id = registry.create(&create_body("random", 20, 41)).unwrap();
+            let id = id.get("id").unwrap().as_str().unwrap().to_owned();
+            for _ in 0..ops {
+                one_op(&registry, &id);
+            }
+            let files = registry.files_for(&id);
+            drop(registry);
+            let torn = match std::fs::read(&files.snap) {
+                Ok(bytes) => bytes[..bytes.len() / 2].to_vec(),
+                Err(_) => b"{\"crc\":".to_vec(),
+            };
+            std::fs::write(&files.snap, torn).unwrap();
+            assert!(
+                snapshot::load(&files.snap).is_none(),
+                "{tag}: snapshot torn"
+            );
+
+            let registry = SessionRegistry::open(&dir, config).unwrap();
+            one_op(&registry, &id);
+            let snap = snapshot::load(&files.snap).expect("fresh checkpoint installed");
+            assert_eq!(
+                snap.seq,
+                ops + 2,
+                "{tag}: checkpoint covers create + every op"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -6,8 +6,12 @@
 //! shard with room (bounded by `queue_depth + 1` connections per
 //! shard). Each shard thread multiplexes its connections with
 //! non-blocking reads, incremental request framing
-//! ([`crate::http::frame_len`]), and buffered non-blocking writes,
-//! sleeping briefly only when none of its connections made progress.
+//! ([`crate::http::frame_len`]), and buffered non-blocking writes.
+//! When a pass over its connections makes no progress, the shard blocks
+//! in `poll(2)` on those connections and on a wake channel the accept
+//! thread writes to, until a socket is ready, a connection is handed
+//! over, a read or write timeout falls due, or the server stops — so an
+//! idle server costs no CPU.
 //! Session state is sharded the same way ([`crate::registry`]), so two
 //! requests against different sessions contend on nothing.
 //!
@@ -52,6 +56,9 @@ use crate::quota::TenantQuotas;
 use crate::registry::{lock_recover, RegistryConfig, ServeError, SessionRegistry};
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::raw::{c_int, c_short};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -61,11 +68,6 @@ use std::time::{Duration, Instant};
 /// `Retry-After` value (seconds) sent on shed (429 capacity) and drain
 /// (503) responses. Quota 429s compute their own from the refill rate.
 const RETRY_AFTER_SECS: u64 = 1;
-
-/// How long an IO shard sleeps when none of its connections made
-/// progress in a pass. Small enough to keep added latency well under a
-/// millisecond; large enough that idle shards cost ~no CPU.
-const POLL_INTERVAL: Duration = Duration::from_micros(200);
 
 /// Server tunables.
 #[derive(Debug, Clone)]
@@ -125,12 +127,23 @@ impl ServeConfig {
 }
 
 /// One IO shard's accept-side state: the handoff mailbox the accept
-/// thread pushes new connections into, and the connection count that
+/// thread pushes new connections into, the connection count that
 /// bounds it (owned + handed-off, so shedding is decided without
-/// touching the shard thread).
+/// touching the shard thread), and the sending end of the shard's wake
+/// channel.
 struct IoShard {
     handoff: Mutex<Vec<TcpStream>>,
     conns: AtomicUsize,
+    wake_tx: UnixStream,
+}
+
+impl IoShard {
+    /// Wakes the shard out of `poll(2)`. The channel is non-blocking: a
+    /// full channel already holds an unread wakeup, so a failed write
+    /// loses nothing.
+    fn wake(&self) {
+        let _ = (&self.wake_tx).write(&[1]);
+    }
 }
 
 /// Everything the accept loop, IO shards, and request handlers share.
@@ -194,14 +207,19 @@ impl Server {
         )?);
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let io_shards: Vec<Arc<IoShard>> = (0..nshards)
-            .map(|_| {
-                Arc::new(IoShard {
-                    handoff: Mutex::new(Vec::new()),
-                    conns: AtomicUsize::new(0),
-                })
-            })
-            .collect();
+        let mut io_shards = Vec::with_capacity(nshards);
+        let mut wake_rxs = Vec::with_capacity(nshards);
+        for _ in 0..nshards {
+            let (tx, rx) = UnixStream::pair()?;
+            tx.set_nonblocking(true)?;
+            rx.set_nonblocking(true)?;
+            io_shards.push(Arc::new(IoShard {
+                handoff: Mutex::new(Vec::new()),
+                conns: AtomicUsize::new(0),
+                wake_tx: tx,
+            }));
+            wake_rxs.push(rx);
+        }
         let ctx = Arc::new(Ctx {
             registry,
             quotas: TenantQuotas::new(config.tenant_rps, config.tenant_burst),
@@ -212,10 +230,12 @@ impl Server {
             stop: AtomicBool::new(false),
         });
 
-        let shard_threads = (0..nshards)
-            .map(|k| {
+        let shard_threads = wake_rxs
+            .into_iter()
+            .enumerate()
+            .map(|(k, wake_rx)| {
                 let ctx = Arc::clone(&ctx);
-                std::thread::spawn(move || shard_loop(k, &ctx))
+                std::thread::spawn(move || shard_loop(k, &wake_rx, &ctx))
             })
             .collect();
         let accept_ctx = Arc::clone(&ctx);
@@ -290,6 +310,7 @@ fn accept_loop(listener: &TcpListener, ctx: &Ctx) {
             if shard.conns.load(Ordering::Relaxed) < ctx.capacity {
                 shard.conns.fetch_add(1, Ordering::Relaxed);
                 lock_recover(&shard.handoff).push(stream.take().expect("stream not yet placed"));
+                shard.wake();
                 break;
             }
         }
@@ -299,6 +320,9 @@ fn accept_loop(listener: &TcpListener, ctx: &Ctx) {
         }
     }
     ctx.stop.store(true, Ordering::SeqCst);
+    for shard in &ctx.io_shards {
+        shard.wake();
+    }
 }
 
 /// Answers a connection the server will not serve (saturation or drain)
@@ -339,10 +363,14 @@ fn drain(listener: &TcpListener, ctx: &Ctx) {
 
 /// One IO shard: adopts handed-off connections, then loops pumping each
 /// one (read → frame → handle → write) without ever blocking, so a slow
-/// peer can't stall its neighbors.
-fn shard_loop(k: usize, ctx: &Ctx) {
+/// peer can't stall its neighbors. Only a pass in which no connection
+/// made progress ends in [`wait_for_work`]: a connection that progressed
+/// may hold another complete frame or more bytes to write, so it is
+/// pumped again before the shard may block.
+fn shard_loop(k: usize, wake_rx: &UnixStream, ctx: &Ctx) {
     let shard = &ctx.io_shards[k];
     let mut conns: Vec<Conn> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
     loop {
         {
             let mut handoff = lock_recover(&shard.handoff);
@@ -374,14 +402,108 @@ fn shard_loop(k: usize, ctx: &Ctx) {
             }
         });
         if !progress {
-            std::thread::sleep(POLL_INTERVAL);
+            if let Err(e) = wait_for_work(&mut fds, wake_rx, &conns, &ctx.config) {
+                // Unreachable with valid descriptors short of ENOMEM;
+                // back off instead of spinning on the failure.
+                eprintln!("mlconf-serve: IO shard {k} cannot poll: {e}");
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            // Drained after the wait and before the next handoff check:
+            // a wakeup written after this point stays readable, so the
+            // next wait returns at once instead of missing it.
+            drain_wake(wake_rx);
         }
     }
 }
 
+/// `struct pollfd` from `<poll.h>`.
+#[repr(C)]
+struct PollFd {
+    fd: RawFd,
+    events: c_short,
+    revents: c_short,
+}
+
+const POLLIN: c_short = 0x1;
+const POLLOUT: c_short = 0x4;
+
+/// `nfds_t` from `<poll.h>`.
+#[cfg(target_os = "linux")]
+type NFds = std::os::raw::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type NFds = std::os::raw::c_uint;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: NFds, timeout: c_int) -> c_int;
+}
+
+/// Blocks until the wake channel or a connection is ready, or the
+/// nearest connection deadline passes. A connection with response bytes
+/// pending waits to become writable: its pump does not read until they
+/// are written, so waiting for readable input too would spin. Any other
+/// connection waits for input. Its deadline is its idle (read) or
+/// write-stall timeout from its last activity, rounded up a millisecond
+/// so the pass after the wait sees it expired. With no connections the
+/// wait has no timeout.
+fn wait_for_work(
+    fds: &mut Vec<PollFd>,
+    wake_rx: &UnixStream,
+    conns: &[Conn],
+    config: &ServeConfig,
+) -> std::io::Result<()> {
+    fds.clear();
+    fds.push(PollFd {
+        fd: wake_rx.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    });
+    let mut deadline: Option<Instant> = None;
+    for conn in conns {
+        let (events, timeout) = if conn.out.is_empty() {
+            (POLLIN, config.read_timeout)
+        } else {
+            (POLLOUT, config.write_timeout)
+        };
+        fds.push(PollFd {
+            fd: conn.stream.as_raw_fd(),
+            events,
+            revents: 0,
+        });
+        // A timeout too large to add to an `Instant` never falls due.
+        if let Some(due) = conn.last_activity.checked_add(timeout) {
+            deadline = Some(deadline.map_or(due, |d| d.min(due)));
+        }
+    }
+    let nfds = NFds::try_from(fds.len()).expect("one pollfd per shard connection");
+    loop {
+        let timeout_ms = deadline.map_or(-1, |d| {
+            let left = d.saturating_duration_since(Instant::now()).as_millis() + 1;
+            c_int::try_from(left).unwrap_or(c_int::MAX)
+        });
+        // SAFETY: `fds` is a live, exclusively borrowed Vec of
+        // `#[repr(C)]` pollfd records and `nfds` is its length, so the
+        // kernel reads and writes only within it. Every descriptor in it
+        // is owned by `wake_rx` or a `Conn` that outlives this call.
+        let ready = unsafe { poll(fds.as_mut_ptr(), nfds, timeout_ms) };
+        if ready >= 0 {
+            return Ok(());
+        }
+        let err = std::io::Error::last_os_error();
+        if err.kind() != std::io::ErrorKind::Interrupted {
+            return Err(err);
+        }
+    }
+}
+
+/// Empties the shard's wake channel.
+fn drain_wake(mut wake_rx: &UnixStream) {
+    let mut sink = [0u8; 64];
+    while matches!(wake_rx.read(&mut sink), Ok(n) if n > 0) {}
+}
+
 /// What one pump pass did with a connection.
 enum Pump {
-    /// Bytes moved or a request was served; poll again immediately.
+    /// Bytes moved or a request was served; pump again before waiting.
     Progress,
     /// Nothing to do; the connection stays registered.
     Idle,
@@ -826,14 +948,84 @@ mod tests {
 
     #[test]
     fn graceful_shutdown_unblocks_join() {
-        let (server, addr, dir) = start("shutdown");
-        let handle = server.handle();
-        let joiner = std::thread::spawn(move || server.join());
-        let (status, _) = http(&addr, "GET", "/healthz", None).unwrap();
-        assert_eq!(status, 200);
-        handle.shutdown();
-        joiner.join().expect("join returns after shutdown");
-        assert!(http(&addr, "GET", "/healthz", None).is_err());
+        // Idle keep-alive connections pin every shard and would outlive
+        // the drain by far: shutdown must still wake each shard out of
+        // its wait once the grace period ends, via `join` and via `Drop`.
+        for (tag, by_drop) in [("shutdown_join", false), ("shutdown_drop", true)] {
+            let dir =
+                std::env::temp_dir().join(format!("mlconf_server_{tag}_{}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            let mut config = ServeConfig::new(dir.clone());
+            config.read_timeout = Duration::from_secs(60);
+            config.drain_grace = Duration::from_millis(300);
+            let server = Server::bind("127.0.0.1:0", config.clone()).unwrap();
+            let addr = server.local_addr().to_string();
+            // The accept thread rotates its first choice, so 2 per shard.
+            let idle: Vec<TcpStream> = (0..2 * config.shards)
+                .map(|_| TcpStream::connect(&addr).unwrap())
+                .collect();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            loop {
+                let (status, body) = http(&addr, "GET", "/healthz", None).unwrap();
+                assert_eq!(status, 200, "{body}");
+                let Some(Json::Arr(shards)) = parse(&body).unwrap().get("shards").cloned() else {
+                    panic!("healthz must list shards: {body}");
+                };
+                let held = |s: &Json| s.get("connections").and_then(Json::as_i64);
+                if shards.iter().all(|s| held(s) >= Some(2)) {
+                    break;
+                }
+                assert!(
+                    Instant::now() < deadline,
+                    "idle connections not placed: {body}"
+                );
+                std::thread::sleep(Duration::from_millis(10));
+            }
+
+            let started = Instant::now();
+            if by_drop {
+                drop(server);
+            } else {
+                let handle = server.handle();
+                let joiner = std::thread::spawn(move || server.join());
+                handle.shutdown();
+                joiner.join().expect("join returns after shutdown");
+            }
+            let took = started.elapsed();
+            assert!(
+                took < config.drain_grace + Duration::from_secs(1),
+                "{tag}: shutdown took {took:?} with idle connections on every shard"
+            );
+            assert!(http(&addr, "GET", "/healthz", None).is_err());
+            drop(idle);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn pipelined_requests_are_answered_in_order() {
+        let (server, addr, dir) = start("pipelined");
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        // Both requests in one write: after the first is answered, the
+        // second already sits whole in the shard's buffer and no more
+        // bytes will arrive to make the socket readable.
+        stream
+            .write_all(
+                b"GET /healthz HTTP/1.1\r\n\r\nGET /sessions HTTP/1.1\r\nconnection: close\r\n\r\n",
+            )
+            .unwrap();
+        let mut response = String::new();
+        stream
+            .read_to_string(&mut response)
+            .expect("both responses arrive, then the server closes");
+        let first = response.find("\"ok\":true").expect("healthz answered");
+        let second = response.find("\"sessions\":[]").expect("list answered");
+        assert!(first < second, "answered out of order: {response}");
+        assert_eq!(response.matches("HTTP/1.1 200").count(), 2, "{response}");
+        drop(server);
         std::fs::remove_dir_all(&dir).ok();
     }
 
