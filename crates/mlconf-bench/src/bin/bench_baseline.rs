@@ -11,6 +11,10 @@
 //! - `cholesky`: one `Cholesky::factor` of a Matérn-5/2 Gram matrix plus
 //!   noise at n = 80 and n = 200 — the factorization every likelihood
 //!   evaluation of the hyperparameter search performs.
+//! - `lml_eval`: wall time of one marginal-likelihood evaluation of the
+//!   hyperparameter search (Gram assembly, packed factorization with the
+//!   targets as a border row, back-solve) at n = 40, 80 and 120: a
+//!   sequential `fit_optimized` divided by the evaluations it ran.
 //! - `hyperopt`: `fit_optimized` wall time sequential (`threads = 1`)
 //!   vs auto threads at n = 60 and n = 200. On a single-core box these
 //!   tie, so the n = 200 acceptance entry reads `"not_measured"` there
@@ -45,7 +49,7 @@ use mlconf_gp::hyperopt::{fit_optimized, HyperoptOptions};
 use mlconf_gp::kernel::{Kernel, KernelFamily};
 use mlconf_gp::sparse::{SparseConfig, SparseGaussianProcess};
 use mlconf_gp::workspace::DistanceWorkspace;
-use mlconf_gp::{PredictWorkspace, Surrogate};
+use mlconf_gp::{kernel_evals, reset_kernel_evals, PredictWorkspace, Surrogate};
 use mlconf_sim::cluster::{machine_by_name, ClusterSpec};
 use mlconf_sim::engine::{simulate, SimOptions};
 use mlconf_sim::runconfig::{Arch, RunConfig, SyncMode};
@@ -140,6 +144,37 @@ fn cholesky_timing(n: usize) -> String {
     });
     println!("cholesky n={n}: factor {:.1} us", secs * 1e6);
     format!("{{\"n\": {n}, \"factor_secs\": {}}}", json_num(secs))
+}
+
+/// Mean wall time of one likelihood evaluation of the hyperparameter
+/// search at size `n`: a sequential `fit_optimized` over the evaluations
+/// it ran. Each evaluation adds one Gram, n(n+1)/2, to the kernel-eval
+/// counter; so do the search's two direct fits (fallback and final).
+fn lml_eval_timing(n: usize) -> String {
+    let (xs, ys) = training_data(n);
+    let template = Kernel::new(KernelFamily::Matern52, DIMS);
+    let opts = HyperoptOptions {
+        threads: 1,
+        ..HyperoptOptions::default()
+    };
+    let gram = (n * (n + 1) / 2) as u64;
+    let mut evals = 0;
+    let secs = median_secs(5, || {
+        reset_kernel_evals();
+        std::hint::black_box(
+            fit_optimized(&template, &xs, &ys, &opts, &mut Pcg64::seed(2)).expect("hyperopt"),
+        );
+        evals = kernel_evals() / gram - 2;
+    });
+    let per_eval = secs / evals as f64;
+    println!(
+        "lml_eval n={n}: {:.1} us per evaluation ({evals} evaluations)",
+        per_eval * 1e6
+    );
+    format!(
+        "{{\"n\": {n}, \"evaluations\": {evals}, \"eval_secs\": {}}}",
+        json_num(per_eval)
+    )
 }
 
 /// Times sequential vs auto-threaded `fit_optimized` at history size
@@ -372,6 +407,7 @@ fn main() {
     let extend_large = extend_vs_refit(200);
     let cholesky_small = cholesky_timing(80);
     let cholesky_large = cholesky_timing(200);
+    let lml_eval: Vec<String> = [40, 80, 120].into_iter().map(lml_eval_timing).collect();
     let (hyperopt_small, _) = hyperopt_timing(60, 5);
     let (hyperopt_large, hyperopt_speedup) = hyperopt_timing(200, 3);
     let predict = predict_many_timing();
@@ -387,10 +423,12 @@ fn main() {
     } else {
         (hyperopt_speedup >= 1.5).to_string()
     };
+    let lml_eval = lml_eval.join(", ");
     let json = format!(
         "{{\n  \"host_cores\": {cores},\n  \
          \"extend_vs_refit\": [{extend_small}, {extend_large}],\n  \
          \"cholesky\": [{cholesky_small}, {cholesky_large}],\n  \
+         \"lml_eval\": [{lml_eval}],\n  \
          \"hyperopt\": [{hyperopt_small}, {hyperopt_large}],\n  \
          \"predict_many\": {predict},\n  \
          \"sparse\": {{\n    \"regret_parity\": {parity},\n    \"large_n\": {sparse_scaling}\n  }},\n  \

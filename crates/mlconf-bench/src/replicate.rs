@@ -2,7 +2,6 @@
 //! (in parallel) so experiments report medians and spreads, not single
 //! lucky runs. Each replicate is one [`TuningSession`] run.
 
-use crossbeam::thread;
 use mlconf_tuners::driver::TuneResult;
 use mlconf_tuners::executor::TrialExecutor;
 use mlconf_tuners::session::{StopCondition, TuningSession};
@@ -58,12 +57,12 @@ pub fn replicate_executed(
     conditions: &[StopCondition],
     executor_for: &ExecutorFactory<'_>,
 ) -> Vec<TuneResult> {
-    thread::scope(|s| {
+    std::thread::scope(|s| {
         let handles: Vec<_> = seeds
             .iter()
             .map(|&seed| {
                 let workload = workload.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let evaluator = ConfigEvaluator::new(workload, objective, max_nodes, seed);
                     let mut tuner = factory(&evaluator, seed);
                     TuningSession::new(&evaluator, budget, seed)
@@ -78,7 +77,6 @@ pub fn replicate_executed(
             .map(|h| h.join().expect("replicate thread panicked"))
             .collect()
     })
-    .expect("replicate scope panicked")
 }
 
 /// Median of each replicate's best value.

@@ -196,17 +196,16 @@ pub fn maximize_acquisition_threads<S: Surrogate + Sync + ?Sized, R: Rng + ?Size
         score_chunk(&candidates)
     } else {
         let chunk = candidates.len().div_ceil(threads);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             let handles: Vec<_> = candidates
                 .chunks(chunk)
-                .map(|points| s.spawn(move |_| score_chunk(points)))
+                .map(|points| s.spawn(move || score_chunk(points)))
                 .collect();
             handles
                 .into_iter()
                 .flat_map(|h| h.join().expect("scoring worker panicked"))
                 .collect()
         })
-        .expect("scoring scope failed")
     };
     let mut scored: Vec<(f64, Vec<f64>)> = scores.into_iter().zip(candidates).collect();
     // Stable sort: candidates with equal scores keep draw order, so the
@@ -232,12 +231,12 @@ pub fn maximize_acquisition_threads<S: Surrogate + Sync + ?Sized, R: Rng + ?Size
     let refined: Vec<mlconf_util::optim::OptimResult> = if threads <= 1 || top.len() == 1 {
         top.iter().map(|start| refine(start)).collect()
     } else {
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             let handles: Vec<_> = top
                 .iter()
                 .map(|start| {
                     let start: &[f64] = start;
-                    s.spawn(move |_| refine(start))
+                    s.spawn(move || refine(start))
                 })
                 .collect();
             handles
@@ -245,7 +244,6 @@ pub fn maximize_acquisition_threads<S: Surrogate + Sync + ?Sized, R: Rng + ?Size
                 .map(|h| h.join().expect("refinement worker panicked"))
                 .collect()
         })
-        .expect("refinement scope failed")
     };
 
     // Fold in rank order with strict improvement, matching the

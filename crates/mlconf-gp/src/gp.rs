@@ -168,10 +168,10 @@ impl GaussianProcess {
     /// Fits a GP from a precomputed (noise-free) kernel Gram matrix.
     ///
     /// `gram` must equal `kernel.gram(&x)` up to floating-point
-    /// recombination; the hyperparameter optimizer uses this with
-    /// [`crate::workspace::DistanceWorkspace`] so each likelihood
-    /// evaluation reuses cached pairwise distances instead of re-touching
-    /// every input pair.
+    /// recombination, e.g. a [`crate::workspace::DistanceWorkspace::gram`]
+    /// that reuses cached pairwise distances. (The hyperparameter search
+    /// itself never builds a `GaussianProcess` per candidate: it factors
+    /// the packed Gram in place, see [`crate::hyperopt`].)
     ///
     /// # Errors
     ///
@@ -203,9 +203,9 @@ impl GaussianProcess {
         let mut k = gram;
         k.add_diagonal(noise_variance.max(1e-10));
         let (chol, jitter) =
-            Cholesky::factor_with_jitter(&k, 0.0, 12).map_err(GpError::Factorization)?;
+            Cholesky::factor_with_jitter(&k, 0.0, JITTER_TRIES).map_err(GpError::Factorization)?;
         let alpha = chol.solve_vec(&y_z);
-        let lml = lml_from_parts(&y_z, &alpha, &chol);
+        let lml = lml_from_parts(&y_z, &alpha, chol.log_det());
 
         Ok(GaussianProcess {
             kernel,
@@ -290,7 +290,7 @@ impl GaussianProcess {
         // `fit` step for step.
         let (y_mean, y_std, y_z) = standardize(&y);
         let alpha = chol.solve_vec(&y_z);
-        let lml = lml_from_parts(&y_z, &alpha, &chol);
+        let lml = lml_from_parts(&y_z, &alpha, chol.log_det());
 
         Ok(GaussianProcess {
             kernel: self.kernel.clone(),
@@ -384,6 +384,10 @@ impl GaussianProcess {
     }
 }
 
+/// Factorization attempts (jitter levels) per fit and per likelihood
+/// evaluation of the hyperparameter search.
+pub(crate) const JITTER_TRIES: usize = 12;
+
 /// Z-scores `y`, returning `(mean, std, standardized)`. A degenerate
 /// spread falls back to unit scale so constant targets stay finite.
 pub(crate) fn standardize(y: &[f64]) -> (f64, f64, Vec<f64>) {
@@ -396,9 +400,9 @@ pub(crate) fn standardize(y: &[f64]) -> (f64, f64, Vec<f64>) {
 }
 
 /// LML in standardized space: `-0.5 yᵀα − 0.5 log|K| − n/2 log 2π`.
-pub(crate) fn lml_from_parts(y_z: &[f64], alpha: &[f64], chol: &Cholesky) -> f64 {
+pub(crate) fn lml_from_parts(y_z: &[f64], alpha: &[f64], log_det: f64) -> f64 {
     -0.5 * dot(y_z, alpha)
-        - 0.5 * chol.log_det()
+        - 0.5 * log_det
         - 0.5 * y_z.len() as f64 * (2.0 * std::f64::consts::PI).ln()
 }
 

@@ -4,19 +4,22 @@
 //! Three things make this path fast. Each likelihood evaluation reuses
 //! a [`DistanceWorkspace`] built once per training set, so changing ARD
 //! lengthscales only recombines cached squared differences instead of
-//! re-touching every input pair. Each worker thread owns one Gram
-//! buffer, reused across the hundreds of likelihood evaluations its
-//! restarts perform (`gram_into` overwrites every entry, so reuse is
-//! bit-identical to a fresh allocation — but the O(n²) allocate-and-zero
-//! per evaluation is gone, which matters at n ≥ 200 where the buffer is
-//! hundreds of kilobytes). And the independent restarts are *claimed*
-//! dynamically by scoped worker threads
+//! re-touching every input pair. Each evaluation is one allocation-free
+//! pass over packed column storage ([`PackedLower`], one per worker
+//! thread): the Gram columns are written straight into it with the
+//! standardized targets as a border row, one in-place factorization
+//! yields `L` and `L⁻¹y`, and a back-solve over contiguous columns gives
+//! `α` — bit-identical to fitting a [`GaussianProcess`] per candidate
+//! (see `neg_log_marginal_likelihood`). And the independent restarts
+//! are *claimed* dynamically by scoped worker threads
 //! ([`multi_start_nelder_mead_parallel`]) with seed-stable start points
 //! and start-order folding, so no thread is stranded with all the
 //! expensive restarts and results are bit-identical to sequential
 //! execution for any thread count.
 
-use mlconf_util::linalg::Cholesky;
+use std::cell::RefCell;
+
+use mlconf_util::linalg::{jitter_shifts, PackedLower};
 use mlconf_util::optim::{auto_threads, multi_start_nelder_mead_parallel, NelderMeadOptions};
 use rand::Rng;
 
@@ -100,36 +103,18 @@ pub fn fit_optimized<R: Rng + ?Sized>(
     // hyperparameter candidates: compute both once, outside the search.
     let workspace = DistanceWorkspace::new(x);
     let (_, _, y_z) = crate::gp::standardize(y);
-    let n = x.len();
     let objective = move |p: &[f64]| -> f64 {
-        // One Gram buffer per worker thread, reused across every
-        // likelihood evaluation that thread performs. `gram_into`
-        // overwrites all n² entries (including the diagonal the previous
-        // evaluation perturbed), so the reuse is bit-identical to the
-        // old allocate-fresh path while dropping an O(n²) zeroed
-        // allocation from the innermost loop.
+        // One packed factor and solution buffer per worker thread, reused
+        // across every likelihood evaluation that thread performs.
         thread_local! {
-            static GRAM_BUF: std::cell::RefCell<mlconf_util::matrix::Matrix> =
-                std::cell::RefCell::new(mlconf_util::matrix::Matrix::zeros(1, 1));
+            static SCRATCH: RefCell<(PackedLower, Vec<f64>)> = RefCell::default();
         }
         let mut kernel = Kernel::new(family, dims);
         kernel.set_log_params(&p[..n_kernel_params]);
         let noise = p[n_kernel_params].exp();
-        GRAM_BUF.with(|buf| {
-            let mut k = buf.borrow_mut();
-            if k.rows() != n || k.cols() != n {
-                *k = mlconf_util::matrix::Matrix::zeros(n, n);
-            }
-            workspace.gram_into(&kernel, &mut k);
-            k.add_diagonal(noise.max(1e-10));
-            match Cholesky::factor_with_jitter(&k, 0.0, 12) {
-                Ok((chol, _)) => {
-                    let alpha = chol.solve_vec(&y_z);
-                    // Negated: the optimizer minimizes.
-                    -crate::gp::lml_from_parts(&y_z, &alpha, &chol)
-                }
-                Err(_) => f64::INFINITY,
-            }
+        SCRATCH.with(|scratch| {
+            let (packed, alpha) = &mut *scratch.borrow_mut();
+            neg_log_marginal_likelihood(&workspace, &kernel, noise, &y_z, packed, alpha)
         })
     };
 
@@ -165,6 +150,50 @@ pub fn fit_optimized<R: Rng + ?Sized>(
     }
 }
 
+/// `−log p(y | X, θ)` for one hyperparameter candidate: the quantity
+/// the search minimizes, bit-identical to fitting a [`GaussianProcess`]
+/// with `kernel` and `noise` and negating its log marginal likelihood.
+///
+/// The Gram matrix is assembled straight into packed column storage with
+/// `y_z` as a border row, so one in-place [`PackedLower::factor`] yields
+/// both `L` and `L⁻¹y_z`; a back-solve over contiguous columns gives `α`.
+/// Nothing is allocated once `packed` and `alpha` have grown to `n`.
+/// The jitter schedule is [`Cholesky::factor_with_jitter`]'s: a failed
+/// attempt refills the Gram (the factorization overwrote it) and adds
+/// the next shift. Returns `+∞` when every attempt fails.
+///
+/// [`Cholesky::factor_with_jitter`]: mlconf_util::linalg::Cholesky::factor_with_jitter
+fn neg_log_marginal_likelihood(
+    workspace: &DistanceWorkspace,
+    kernel: &Kernel,
+    noise: f64,
+    y_z: &[f64],
+    packed: &mut PackedLower,
+    alpha: &mut Vec<f64>,
+) -> f64 {
+    let n = workspace.len();
+    packed.reset(n, 1);
+    for shift in jitter_shifts(0.0, crate::gp::JITTER_TRIES) {
+        workspace.gram_packed(kernel, packed);
+        for (j, &y) in y_z.iter().enumerate() {
+            let col = packed.column_mut(j);
+            col[0] += noise.max(1e-10);
+            if let Some(s) = shift {
+                col[0] += s;
+            }
+            col[n - j] = y;
+        }
+        if packed.factor().is_ok() {
+            alpha.clear();
+            alpha.extend((0..n).map(|j| packed.column(j)[n - j]));
+            packed.solve_upper(alpha);
+            // Negated: the optimizer minimizes.
+            return -crate::gp::lml_from_parts(y_z, alpha, packed.log_det());
+        }
+    }
+    f64::INFINITY
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,6 +204,137 @@ mod tests {
         let xs: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64 / (n - 1) as f64]).collect();
         let ys: Vec<f64> = xs.iter().map(|x| (3.0 * x[0]).sin() * 10.0 + 5.0).collect();
         (xs, ys)
+    }
+
+    /// The objective as it was computed before the packed kernel: a full
+    /// row-major Gram from the pairwise oracle, `factor_with_jitter`, then
+    /// `solve_vec`. Returns the value and the jitter that succeeded.
+    fn neg_lml_unfused(xs: &[Vec<f64>], kernel: &Kernel, noise: f64, y_z: &[f64]) -> (f64, f64) {
+        let mut k = crate::workspace::tests::gram_pairwise(xs, kernel);
+        k.add_diagonal(noise.max(1e-10));
+        match mlconf_util::linalg::Cholesky::factor_with_jitter(&k, 0.0, crate::gp::JITTER_TRIES) {
+            Ok((chol, jitter)) => {
+                let alpha = chol.solve_vec(y_z);
+                (
+                    -crate::gp::lml_from_parts(y_z, &alpha, chol.log_det()),
+                    jitter,
+                )
+            }
+            Err(_) => (f64::INFINITY, f64::NAN),
+        }
+    }
+
+    /// The packed objective on fresh inputs, through the same per-thread
+    /// scratch shapes `fit_optimized` uses.
+    fn neg_lml_packed(xs: &[Vec<f64>], kernel: &Kernel, noise: f64, y_z: &[f64]) -> f64 {
+        let ws = DistanceWorkspace::new(xs);
+        neg_log_marginal_likelihood(
+            &ws,
+            kernel,
+            noise,
+            y_z,
+            &mut PackedLower::default(),
+            &mut Vec::new(),
+        )
+    }
+
+    fn targets(n: usize) -> Vec<f64> {
+        let y: Vec<f64> = (0..n)
+            .map(|i| (i as f64 * 0.7).sin() * 3.0 + i as f64 * 0.01)
+            .collect();
+        crate::gp::standardize(&y).2
+    }
+
+    #[test]
+    fn objective_is_bit_identical_to_unfused_path() {
+        for dims in [1, 3, 9, 20] {
+            for n in [1, 2, 3, 5, 16, 17, 33, 40] {
+                let xs = crate::workspace::tests::grid(n, dims);
+                let y_z = targets(n);
+                for fam in KernelFamily::all() {
+                    for (step, log_noise) in [(0.0, -3.0), (-0.45, -9.0), (0.3, -1.0)] {
+                        let mut kernel = Kernel::new(fam, dims);
+                        let p: Vec<f64> = (0..=dims).map(|i| 0.2 + step * i as f64).collect();
+                        kernel.set_log_params(&p);
+                        let noise = f64::exp(log_noise);
+                        let got = neg_lml_packed(&xs, &kernel, noise, &y_z);
+                        let (want, _) = neg_lml_unfused(&xs, &kernel, noise, &y_z);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{fam}, n = {n}, dims = {dims}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn forced_jitter_retry_matches_unfused_path() {
+        // 40 grid points hold 17 distinct rows, so the Gram is singular;
+        // at the 1e-10 noise floor with a large signal variance, rounding
+        // sinks a pivot below zero and the schedule must climb.
+        let xs = crate::workspace::tests::grid(40, 3);
+        let y_z = targets(40);
+        let kernel = Kernel::with_params(KernelFamily::SquaredExp, 1e8, vec![3.0; 3]);
+        let (want, jitter) = neg_lml_unfused(&xs, &kernel, 1e-12, &y_z);
+        assert!(jitter > 0.0, "no retry was forced (jitter {jitter})");
+        assert!(want.is_finite());
+        let got = neg_lml_packed(&xs, &kernel, 1e-12, &y_z);
+        assert_eq!(got.to_bits(), want.to_bits());
+    }
+
+    #[test]
+    fn every_attempt_failing_gives_infinity() {
+        // An infinite noise variance leaves every pivot non-finite at
+        // every jitter level.
+        let xs = crate::workspace::tests::grid(6, 2);
+        let y_z = targets(6);
+        let kernel = Kernel::new(KernelFamily::Matern52, 2);
+        assert_eq!(
+            neg_lml_unfused(&xs, &kernel, f64::INFINITY, &y_z).0,
+            f64::INFINITY
+        );
+        assert_eq!(
+            neg_lml_packed(&xs, &kernel, f64::INFINITY, &y_z),
+            f64::INFINITY
+        );
+    }
+
+    #[test]
+    fn one_evaluation_counts_one_gram_of_kernel_evals() {
+        // `gp.kernel_evals` and the sparse path's O(n·m) bound read this
+        // counter: one likelihood evaluation is n(n+1)/2 kernel values.
+        let n = 23;
+        let xs = crate::workspace::tests::grid(n, 4);
+        let ws = DistanceWorkspace::new(&xs);
+        let y_z = targets(n);
+        let kernel = Kernel::new(KernelFamily::Matern32, 4);
+        let (mut packed, mut alpha) = (PackedLower::default(), Vec::new());
+        crate::ops::reset_kernel_evals();
+        let v = neg_log_marginal_likelihood(&ws, &kernel, 1e-3, &y_z, &mut packed, &mut alpha);
+        assert!(v.is_finite());
+        assert_eq!(crate::ops::kernel_evals(), (n * (n + 1) / 2) as u64);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn objective_matches_unfused_path_for_random_candidates(
+            n in 3usize..=24,
+            fam in 0usize..3,
+            raw in proptest::collection::vec(0.0f64..1.0, 72),
+            p in proptest::collection::vec(-4.0f64..2.5, 5),
+        ) {
+            let xs: Vec<Vec<f64>> = raw.chunks(3).take(n).map(<[f64]>::to_vec).collect();
+            let y_z = targets(n);
+            let mut kernel = Kernel::new(KernelFamily::all()[fam], 3);
+            kernel.set_log_params(&p[..4]);
+            let noise = (p[4] * 3.0).exp();
+            let got = neg_lml_packed(&xs, &kernel, noise, &y_z);
+            let (want, _) = neg_lml_unfused(&xs, &kernel, noise, &y_z);
+            proptest::prop_assert_eq!(got.to_bits(), want.to_bits());
+        }
     }
 
     #[test]

@@ -41,6 +41,25 @@ impl KernelFamily {
             KernelFamily::Matern52 => "matern52",
         }
     }
+
+    /// The polynomial factor of the radial profile `g(t) = p(t)·e^{c·t}`.
+    #[inline]
+    fn polynomial(self, t: f64) -> f64 {
+        match self {
+            KernelFamily::SquaredExp => 1.0,
+            KernelFamily::Matern32 => 1.0 + t,
+            KernelFamily::Matern52 => 1.0 + t + t * t / 3.0,
+        }
+    }
+
+    /// The exponent's rate `c` of the radial profile `g(t) = p(t)·e^{c·t}`.
+    #[inline]
+    fn decay_rate(self) -> f64 {
+        match self {
+            KernelFamily::SquaredExp => -0.5,
+            KernelFamily::Matern32 | KernelFamily::Matern52 => -1.0,
+        }
+    }
 }
 
 impl std::fmt::Display for KernelFamily {
@@ -149,18 +168,42 @@ impl Kernel {
     /// Crate-visible so [`crate::workspace::DistanceWorkspace`] can
     /// recombine cached squared distances without re-touching the inputs.
     pub(crate) fn shape(&self, r2: f64) -> f64 {
+        let t = self.radial(r2);
+        self.family.polynomial(t) * (self.family.decay_rate() * t).exp()
+    }
+
+    /// Overwrites each `r²` in `r2` with the covariance `σ² · g(r²)`,
+    /// bit-identical to `signal_variance() * shape(r²)` entry by entry.
+    /// Every step but `exp` runs as a slice pass the compiler vectorizes
+    /// (the square root and the polynomial are correctly rounded either
+    /// way); `exp` stays one scalar libm call per entry.
+    pub(crate) fn covariances_from_r2(&self, r2: &mut [f64]) {
+        let (family, rate) = (self.family, self.family.decay_rate());
+        if family != KernelFamily::SquaredExp {
+            for v in r2.iter_mut() {
+                *v = self.radial(*v);
+            }
+        }
+        let mut decay = [0.0f64; 64];
+        for chunk in r2.chunks_mut(decay.len()) {
+            let decay = &mut decay[..chunk.len()];
+            for (e, &t) in decay.iter_mut().zip(&*chunk) {
+                *e = (rate * t).exp();
+            }
+            for (v, &e) in chunk.iter_mut().zip(&*decay) {
+                *v = self.signal_variance * (family.polynomial(*v) * e);
+            }
+        }
+    }
+
+    /// The profile's argument: `r²` itself for the squared exponential,
+    /// `√(2ν)·r` for Matérn ν.
+    #[inline]
+    fn radial(&self, r2: f64) -> f64 {
         match self.family {
-            KernelFamily::SquaredExp => (-0.5 * r2).exp(),
-            KernelFamily::Matern32 => {
-                let r = r2.sqrt();
-                let t = 3.0f64.sqrt() * r;
-                (1.0 + t) * (-t).exp()
-            }
-            KernelFamily::Matern52 => {
-                let r = r2.sqrt();
-                let t = 5.0f64.sqrt() * r;
-                (1.0 + t + t * t / 3.0) * (-t).exp()
-            }
+            KernelFamily::SquaredExp => r2,
+            KernelFamily::Matern32 => 3.0f64.sqrt() * r2.sqrt(),
+            KernelFamily::Matern52 => 5.0f64.sqrt() * r2.sqrt(),
         }
     }
 

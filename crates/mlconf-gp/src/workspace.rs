@@ -5,11 +5,16 @@
 //! hyperparameters change. For stationary ARD kernels the Gram entry is
 //! `σ² · g(Σ_d (xᵢ[d]−xⱼ[d])² / ℓ_d²)`, so the per-dimension squared
 //! differences can be computed once and recombined per candidate
-//! lengthscale vector. That turns each likelihood evaluation's Gram
-//! assembly from `O(n² d)` input-touching work (with a division per
-//! dimension) into a cache-friendly multiply–add sweep over a
-//! precomputed table.
+//! lengthscale vector. Each likelihood evaluation's Gram assembly is then
+//! a multiply–add sweep over a precomputed table instead of `O(n² d)`
+//! input-touching work with a division per dimension.
+//!
+//! The table is laid out for the column-major packed factorization the
+//! search runs ([`mlconf_util::linalg::PackedLower`]): column `j` of the
+//! lower triangle is one segment, stored dimension-major, so a column's
+//! `r²` values are vertical multiply–adds across rows.
 
+use mlconf_util::linalg::PackedLower;
 use mlconf_util::matrix::Matrix;
 
 use crate::kernel::Kernel;
@@ -17,10 +22,11 @@ use crate::kernel::Kernel;
 /// Precomputed per-dimension squared differences for a fixed training
 /// set, shared by all Gram evaluations during hyperparameter search.
 ///
-/// Storage is pair-major over the lower triangle: the `dims` squared
-/// differences of a pair sit contiguously, so the recombination loop for
-/// one Gram entry is a single contiguous dot product with the inverse
-/// squared lengthscales.
+/// Storage is one segment per column `j` of the lower triangle (rows
+/// `i = j..n`), dimension-major inside the segment: the squared
+/// differences of every row in dimension `d` sit contiguously. A column's
+/// `r²` is then `dims` vertical multiply–adds across its rows, and each
+/// entry still sums its own terms for `d` ascending from `0.0`.
 ///
 /// # Examples
 ///
@@ -39,7 +45,8 @@ use crate::kernel::Kernel;
 pub struct DistanceWorkspace {
     n: usize,
     dims: usize,
-    /// `sq[(i(i+1)/2 + j) * dims + d] = (xs[i][d] - xs[j][d])²` for `j ≤ i`.
+    /// Column `j`'s segment starts at `dims · Σ_{c<j} (n − c)` and holds
+    /// `(xs[i][d] − xs[j][d])²` at `d · (n − j) + (i − j)` for `i ≥ j`.
     sq: Vec<f64>,
 }
 
@@ -56,13 +63,15 @@ impl DistanceWorkspace {
         );
         let n = xs.len();
         let dims = xs[0].len();
-        let mut sq = Vec::with_capacity(n * (n + 1) / 2 * dims);
-        for (i, xi) in xs.iter().enumerate() {
+        for xi in xs {
             assert_eq!(xi.len(), dims, "ragged training inputs");
-            for xj in &xs[..=i] {
-                for (&a, &b) in xi.iter().zip(xj) {
-                    let d = a - b;
-                    sq.push(d * d);
+        }
+        let mut sq = Vec::with_capacity(n * (n + 1) / 2 * dims);
+        for (j, xj) in xs.iter().enumerate() {
+            for (d, &b) in xj.iter().enumerate() {
+                for xi in &xs[j..] {
+                    let diff = xi[d] - b;
+                    sq.push(diff * diff);
                 }
             }
         }
@@ -108,20 +117,58 @@ impl DistanceWorkspace {
     /// Panics if the kernel dimensionality differs from the workspace's
     /// or `out` is not `n × n`.
     pub fn gram_into(&self, kernel: &Kernel, out: &mut Matrix) {
-        assert_eq!(
-            kernel.dims(),
-            self.dims,
-            "kernel dimensionality does not match workspace"
-        );
         assert!(
             out.rows() == self.n && out.cols() == self.n,
             "gram_into output must be {n}x{n}",
             n = self.n
         );
+        // Column j's rows j..n are row j's columns j..n: fill them in
+        // place, then mirror below the diagonal.
+        self.with_weights(kernel, |inv_l2| {
+            for j in 0..self.n {
+                self.column_into(kernel, inv_l2, j, &mut out.row_mut(j)[j..]);
+            }
+        });
+        for j in 0..self.n {
+            for i in j + 1..self.n {
+                out[(i, j)] = out[(j, i)];
+            }
+        }
+    }
+
+    /// Writes `K(X, X)`'s lower triangle into the first `n − j` rows of
+    /// each column `j` of `out` (border rows are left alone), ready for
+    /// [`PackedLower::factor`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kernel dimensionality differs from the workspace's
+    /// or `out.dim()` is not `n`.
+    pub fn gram_packed(&self, kernel: &Kernel, out: &mut PackedLower) {
+        assert_eq!(
+            out.dim(),
+            self.n,
+            "gram_packed output must have dim {}",
+            self.n
+        );
+        self.with_weights(kernel, |inv_l2| {
+            for j in 0..self.n {
+                self.column_into(kernel, inv_l2, j, &mut out.column_mut(j)[..self.n - j]);
+            }
+        });
+    }
+
+    /// Runs `f` with `kernel`'s inverse squared lengthscales and counts
+    /// the `n(n+1)/2` kernel evaluations of one Gram assembly.
+    fn with_weights<R>(&self, kernel: &Kernel, f: impl FnOnce(&[f64]) -> R) -> R {
+        assert_eq!(
+            kernel.dims(),
+            self.dims,
+            "kernel dimensionality does not match workspace"
+        );
         crate::ops::add_kernel_evals((self.n as u64 * (self.n as u64 + 1)) / 2);
-        let sv = kernel.signal_variance();
-        // Inverse squared lengthscales, on the stack for the usual small
-        // dimensionalities so an evaluation allocates nothing.
+        // On the stack for the usual small dimensionalities so an
+        // evaluation allocates nothing.
         let mut stack = [0.0f64; 16];
         let mut heap = Vec::new();
         let inv_l2: &mut [f64] = if self.dims <= stack.len() {
@@ -133,57 +180,45 @@ impl DistanceWorkspace {
         for (w, l) in inv_l2.iter_mut().zip(kernel.lengthscales()) {
             *w = 1.0 / (l * l);
         }
-        let inv_l2 = &*inv_l2;
-        // Four pairs' r² dot products are interleaved so four independent
-        // accumulation chains are in flight; each chain still sums its own
-        // pair's terms for d ascending from 0.0, so every entry is
-        // bit-identical to the pair-at-a-time loop.
-        let d = self.dims;
-        let pairs = self.n * (self.n + 1) / 2;
-        let (mut i, mut j) = (0, 0);
-        let mut put = |r2: f64| {
-            let v = sv * kernel.shape(r2);
-            out[(i, j)] = v;
-            out[(j, i)] = v;
-            j += 1;
-            if j > i {
-                i += 1;
-                j = 0;
+        f(inv_l2)
+    }
+
+    /// Column `j`'s covariances `K[i][j]` for rows `i = j..n` into `out`.
+    fn column_into(&self, kernel: &Kernel, inv_l2: &[f64], j: usize, out: &mut [f64]) {
+        let rows = self.n - j;
+        let start = self.dims * (j * self.n - j * j.saturating_sub(1) / 2);
+        let table = &self.sq[start..start + rows * self.dims];
+        // r² eight rows at a time, in registers: lanes are rows, so each
+        // entry still adds its own terms for d ascending from 0.0.
+        let mut r = 0;
+        while r + 8 <= rows {
+            let mut acc = [0.0f64; 8];
+            for (&w, sq_d) in inv_l2.iter().zip(table.chunks_exact(rows)) {
+                for (a, &x) in acc.iter_mut().zip(&sq_d[r..r + 8]) {
+                    *a += x * w;
+                }
             }
-        };
-        let mut p = 0;
-        while p + 4 <= pairs {
-            let block = &self.sq[p * d..(p + 4) * d];
-            let (b0, rest) = block.split_at(d);
-            let (b1, rest) = rest.split_at(d);
-            let (b2, b3) = rest.split_at(d);
-            let mut r2 = [0.0f64; 4];
-            for ((((&w, &x0), &x1), &x2), &x3) in inv_l2.iter().zip(b0).zip(b1).zip(b2).zip(b3) {
-                r2[0] += x0 * w;
-                r2[1] += x1 * w;
-                r2[2] += x2 * w;
-                r2[3] += x3 * w;
-            }
-            r2.into_iter().for_each(&mut put);
-            p += 4;
+            out[r..r + 8].copy_from_slice(&acc);
+            r += 8;
         }
-        for p in p..pairs {
-            let block = &self.sq[p * d..(p + 1) * d];
-            let mut r2 = 0.0;
-            for (&x, &w) in block.iter().zip(inv_l2) {
-                r2 += x * w;
+        for (i, o) in out.iter_mut().enumerate().skip(r) {
+            let mut acc = 0.0;
+            for (&w, sq_d) in inv_l2.iter().zip(table.chunks_exact(rows)) {
+                acc += sq_d[i] * w;
             }
-            put(r2);
+            *o = acc;
         }
+        kernel.covariances_from_r2(out);
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::kernel::KernelFamily;
 
-    fn grid(n: usize, dims: usize) -> Vec<Vec<f64>> {
+    /// `n` points on a coarse grid; rows repeat every 17 points.
+    pub(crate) fn grid(n: usize, dims: usize) -> Vec<Vec<f64>> {
         (0..n)
             .map(|i| {
                 (0..dims)
@@ -193,53 +228,65 @@ mod tests {
             .collect()
     }
 
-    /// The pair-at-a-time recombination loop: the oracle the interleaved
-    /// `gram_into` must match bit for bit.
-    fn gram_pairwise(ws: &DistanceWorkspace, kernel: &Kernel) -> Matrix {
+    /// The pair-at-a-time recombination loop over the raw inputs: the
+    /// oracle both Gram layouts must match bit for bit.
+    pub(crate) fn gram_pairwise(xs: &[Vec<f64>], kernel: &Kernel) -> Matrix {
         let inv_l2: Vec<f64> = kernel
             .lengthscales()
             .iter()
             .map(|l| 1.0 / (l * l))
             .collect();
-        let mut out = Matrix::zeros(ws.n, ws.n);
-        let mut pair = 0;
-        for i in 0..ws.n {
+        let n = xs.len();
+        let mut out = Matrix::zeros(n, n);
+        for i in 0..n {
             for j in 0..=i {
-                let block = &ws.sq[pair * ws.dims..(pair + 1) * ws.dims];
                 let mut r2 = 0.0;
-                for (&d2, &w) in block.iter().zip(&inv_l2) {
-                    r2 += d2 * w;
+                for ((&a, &b), &w) in xs[i].iter().zip(&xs[j]).zip(&inv_l2) {
+                    let d = a - b;
+                    r2 += d * d * w;
                 }
                 let v = kernel.signal_variance() * kernel.shape(r2);
                 out[(i, j)] = v;
                 out[(j, i)] = v;
-                pair += 1;
             }
         }
         out
     }
 
+    fn same_bits(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
     #[test]
-    fn interleaved_gram_is_bit_identical_to_pairwise() {
-        // n = 1..=9 gives pair counts 1, 3, 6, 10, 15, 21, 28, 36, 45:
-        // every remainder mod 4. dims = 20 exercises the heap weights.
+    fn column_gram_is_bit_identical_to_pairwise() {
+        // Columns of every length from 1 to 41 (so every SIMD remainder),
+        // all kernel families, and dims = 20 for the heap weights.
         for dims in [1, 3, 9, 20] {
-            for n in 1..=9 {
-                let ws = DistanceWorkspace::new(&grid(n, dims));
+            for n in (1..=9).chain([41]) {
+                let xs = grid(n, dims);
+                let ws = DistanceWorkspace::new(&xs);
                 for fam in KernelFamily::all() {
                     let mut kernel = Kernel::new(fam, dims);
                     let log_params: Vec<f64> = (0..=dims).map(|p| 0.3 - 0.45 * p as f64).collect();
                     kernel.set_log_params(&log_params);
+                    let oracle = gram_pairwise(&xs, &kernel);
                     let mut fast = Matrix::zeros(n, n);
                     fast[(0, 0)] = f64::NAN; // every entry must be overwritten
                     ws.gram_into(&kernel, &mut fast);
-                    let oracle = gram_pairwise(&ws, &kernel);
-                    let same = fast
-                        .as_slice()
-                        .iter()
-                        .zip(oracle.as_slice())
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                    assert!(same, "{fam}, n = {n}, dims = {dims}");
+                    assert!(
+                        same_bits(fast.as_slice(), oracle.as_slice()),
+                        "{fam}, n = {n}, dims = {dims}"
+                    );
+                    let mut packed = PackedLower::default();
+                    packed.reset(n, 1);
+                    ws.gram_packed(&kernel, &mut packed);
+                    for j in 0..n {
+                        let want: Vec<f64> = (j..n).map(|i| oracle[(i, j)]).collect();
+                        assert!(
+                            same_bits(&packed.column(j)[..n - j], &want),
+                            "{fam}, n = {n}, dims = {dims}, column {j}"
+                        );
+                    }
                 }
             }
         }

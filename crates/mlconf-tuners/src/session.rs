@@ -1571,11 +1571,11 @@ impl<'o> AskTellSession<'o> {
                 eval_threads.min(jobs.len())
             };
             let chunk_size = jobs.len().div_ceil(threads);
-            let executed: Vec<ExecutedTrial> = crossbeam::thread::scope(|s| {
+            let executed: Vec<ExecutedTrial> = std::thread::scope(|s| {
                 let handles: Vec<_> = jobs
                     .chunks(chunk_size)
                     .map(|chunk| {
-                        s.spawn(move |_| {
+                        s.spawn(move || {
                             chunk
                                 .iter()
                                 .map(|&(cfg, rep, fidelity, trial)| {
@@ -1597,8 +1597,7 @@ impl<'o> AskTellSession<'o> {
                     .into_iter()
                     .flat_map(|h| h.join().expect("evaluation thread panicked"))
                     .collect()
-            })
-            .expect("batch scope panicked");
+            });
             drop(jobs);
 
             // Phase 3: commit in suggestion order.

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 //! Numeric substrate for the `mlconf` workspace.
 //!
 //! This crate deliberately has no dependency on the rest of the workspace;

@@ -73,13 +73,14 @@ impl Cholesky {
     /// Only the lower triangle of `a` is read; symmetry of the upper
     /// triangle is the caller's responsibility.
     ///
-    /// The factor is filled column by column: the pivot `L[j][j]` first,
-    /// then rows `i > j` of column `j` four at a time, so four independent
-    /// `sum -= L[i][k]·L[j][k]` chains are in flight instead of one. Each
-    /// entry still starts at `a[i][j]` and subtracts its products for `k`
-    /// ascending, the order the textbook row-by-row loop uses, so `L` is
-    /// bit-identical to it; pivots are checked in ascending order from the
-    /// same values, so the first failing pivot and its value match too.
+    /// The lower triangle is packed by columns and eliminated by
+    /// [`PackedLower::factor`], the crate's one Cholesky kernel, then
+    /// unpacked into the row-major factor. Each entry `L[i][j]` starts
+    /// at `a[i][j]` and subtracts `L[i][k]·L[j][k]` for `k` ascending,
+    /// the order the textbook row-by-row loop uses, so `L` is
+    /// bit-identical to it; pivots are checked in ascending order from
+    /// the same values, so the first failing pivot and its value match
+    /// too.
     ///
     /// # Errors
     ///
@@ -90,9 +91,8 @@ impl Cholesky {
     }
 
     /// [`Cholesky::factor`] of `a + shift·I`, without materializing the
-    /// shifted matrix: the lower triangle of `a` is copied into the factor
-    /// storage, the shift is added to its diagonal, and the columns are
-    /// then eliminated in place.
+    /// shifted matrix: the shift is added while `a`'s lower triangle is
+    /// packed.
     fn factor_shifted(a: &Matrix, shift: Option<f64>) -> Result<Self, LinalgError> {
         if !a.is_square() {
             return Err(LinalgError::ShapeMismatch {
@@ -100,67 +100,30 @@ impl Cholesky {
             });
         }
         let n = a.rows();
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            l.row_mut(i)[..=i].copy_from_slice(&a.row(i)[..=i]);
+        let mut packed = PackedLower::default();
+        packed.reset(n, 0);
+        for j in 0..n {
+            let col = packed.column_mut(j);
+            for (i, v) in (j..n).zip(col.iter_mut()) {
+                *v = a[(i, j)];
+            }
             if let Some(s) = shift {
-                l[(i, i)] += s;
+                col[0] += s;
             }
         }
+        packed.factor()?;
+        let mut l = Matrix::zeros(n, n);
         for j in 0..n {
-            let (_, rest) = l.split_rows_at_mut(j);
-            let (row_j, below) = rest.split_at_mut(n);
-            let (lj, diag) = row_j.split_at_mut(j);
-            let mut pivot = diag[0];
-            for &ljk in &*lj {
-                pivot -= ljk * ljk;
-            }
-            if pivot <= 0.0 || !pivot.is_finite() {
-                return Err(LinalgError::NotPositiveDefinite {
-                    pivot: j,
-                    value: pivot,
-                });
-            }
-            let ljj = pivot.sqrt();
-            diag[0] = ljj;
-            let lj = &*lj;
-            let mut quads = below.chunks_exact_mut(4 * n);
-            for quad in &mut quads {
-                let (r0, rest) = quad.split_at_mut(n);
-                let (r1, rest) = rest.split_at_mut(n);
-                let (r2, r3) = rest.split_at_mut(n);
-                let (mut s0, mut s1, mut s2, mut s3) = (r0[j], r1[j], r2[j], r3[j]);
-                for ((((&ljk, &a0), &a1), &a2), &a3) in lj
-                    .iter()
-                    .zip(&r0[..j])
-                    .zip(&r1[..j])
-                    .zip(&r2[..j])
-                    .zip(&r3[..j])
-                {
-                    s0 -= a0 * ljk;
-                    s1 -= a1 * ljk;
-                    s2 -= a2 * ljk;
-                    s3 -= a3 * ljk;
-                }
-                r0[j] = s0 / ljj;
-                r1[j] = s1 / ljj;
-                r2[j] = s2 / ljj;
-                r3[j] = s3 / ljj;
-            }
-            for ri in quads.into_remainder().chunks_exact_mut(n) {
-                let mut sum = ri[j];
-                for (&ljk, &aik) in lj.iter().zip(&ri[..j]) {
-                    sum -= aik * ljk;
-                }
-                ri[j] = sum / ljj;
+            for (i, &v) in (j..n).zip(packed.column(j)) {
+                l[(i, j)] = v;
             }
         }
         Ok(Cholesky { l })
     }
 
     /// Factors `a + jitter·I`, growing the jitter by ×10 on failure up to
-    /// `max_tries` attempts. Returns the factorization and the jitter that
-    /// succeeded.
+    /// `max_tries` attempts (the [`jitter_shifts`] schedule). Returns the
+    /// factorization and the jitter that succeeded.
     ///
     /// Kernel matrices are often ill-conditioned when two configurations
     /// nearly coincide; progressive jitter is the standard GP remedy.
@@ -175,16 +138,11 @@ impl Cholesky {
         initial_jitter: f64,
         max_tries: usize,
     ) -> Result<(Self, f64), LinalgError> {
-        let mut jitter = initial_jitter;
         let mut last_err = LinalgError::Singular;
-        for attempt in 0..max_tries.max(1) {
-            let shift = (attempt > 0 || jitter > 0.0).then_some(jitter);
+        for shift in jitter_shifts(initial_jitter, max_tries) {
             match Cholesky::factor_shifted(a, shift) {
-                Ok(c) => return Ok((c, jitter)),
-                Err(e) => {
-                    last_err = e;
-                    jitter = if jitter == 0.0 { 1e-10 } else { jitter * 10.0 };
-                }
+                Ok(c) => return Ok((c, shift.unwrap_or(initial_jitter))),
+                Err(e) => last_err = e,
             }
         }
         Err(last_err)
@@ -303,12 +261,364 @@ impl Cholesky {
 
     /// Log-determinant of `A`, i.e. `2 Σ ln L[i][i]`.
     pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
+        log_det_from_pivots((0..self.dim()).map(|i| self.l[(i, i)]))
     }
 
     /// Explicit inverse of `A` (use solves instead where possible).
     pub fn inverse(&self) -> Matrix {
         self.solve_mat(&Matrix::identity(self.dim()))
+    }
+}
+
+/// The diagonal shifts [`Cholesky::factor_with_jitter`] tries, in order:
+/// `None` (no shift) first when `initial_jitter` is zero, then
+/// `initial_jitter` (or `1e-10` from zero) growing ×10 per attempt, for
+/// `max_tries` attempts (at least one). Callers that factor in place
+/// refill their matrix and add each shift to its diagonal.
+pub fn jitter_shifts(initial_jitter: f64, max_tries: usize) -> impl Iterator<Item = Option<f64>> {
+    let mut jitter = initial_jitter;
+    (0..max_tries.max(1)).map(move |attempt| {
+        let shift = (attempt > 0 || jitter > 0.0).then_some(jitter);
+        jitter = if jitter == 0.0 { 1e-10 } else { jitter * 10.0 };
+        shift
+    })
+}
+
+/// `2 Σ ln pᵢ` over the factor's diagonal, summed in index order.
+fn log_det_from_pivots(diag: impl Iterator<Item = f64>) -> f64 {
+    diag.map(f64::ln).sum::<f64>() * 2.0
+}
+
+/// The lower triangle of a symmetric `n × n` matrix packed by columns,
+/// with optional *border* rows below it, factored in place by the
+/// crate's one Cholesky kernel.
+///
+/// Column `j` holds rows `j..n + border`, contiguously: entry `A[j][j]`
+/// first, then `A[i][j]` for `i > j`, then the border rows' column-`j`
+/// entries. [`PackedLower::factor`] overwrites every entry with `L`, and
+/// each border row `b` with `L⁻¹b`: a border row is eliminated exactly
+/// like a matrix row but never pivots, which is forward substitution in
+/// [`solve_lower`]'s own order. So a right-hand side rides along with the
+/// factorization instead of needing a second strided pass.
+///
+/// The elimination is left-looking over columns and vectorized across
+/// rows: each entry keeps its own chain (`A[i][j]`, minus `L[i][k]·L[j][k]`
+/// for `k` ascending, divided by `L[j][j]`), so lanes are entries and the
+/// result is bit-identical to the textbook loop. Pivots come from
+/// right-looking diagonal updates (`d[i] -= L[i][j]²` as each column is
+/// finished), which is the same chain per pivot without a serial dot
+/// product. On x86-64 CPUs with AVX2 (detected at run time) sixteen rows
+/// are updated per `k` in four registers, and a column's last rows in up
+/// to four registers with the final one masked, always with separate
+/// multiply and subtract instructions, never fused multiply-add; other
+/// CPUs run the same loop in portable code, sixteen, four or one row at
+/// a time.
+///
+/// # Examples
+///
+/// ```
+/// use mlconf_util::linalg::PackedLower;
+///
+/// // [[4, 2], [2, 3]] with one border row b = [8, 7].
+/// let mut p = PackedLower::default();
+/// p.reset(2, 1);
+/// p.column_mut(0).copy_from_slice(&[4.0, 2.0, 8.0]);
+/// p.column_mut(1).copy_from_slice(&[3.0, 7.0]);
+/// p.factor()?;
+/// assert_eq!(p.column(0), &[2.0, 1.0, 4.0]); // L[0][0], L[1][0], (L⁻¹b)[0]
+/// assert_eq!(p.column(1)[0], 2.0f64.sqrt()); // L[1][1]
+/// let mut x = vec![p.column(0)[2], p.column(1)[1]];
+/// p.solve_upper(&mut x); // x = A⁻¹b
+/// assert!((x[0] - 1.25).abs() < 1e-12 && (x[1] - 1.5).abs() < 1e-12);
+/// # Ok::<(), mlconf_util::linalg::LinalgError>(())
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct PackedLower {
+    n: usize,
+    height: usize,
+    data: Vec<f64>,
+    /// Running pivots during [`PackedLower::factor`]; one entry per row
+    /// (border entries are scratch).
+    diag: Vec<f64>,
+}
+
+impl PackedLower {
+    /// Shapes the storage for an `n × n` matrix with `border` extra
+    /// rows, reusing the allocation. Entries are unspecified until the
+    /// caller writes every column.
+    pub fn reset(&mut self, n: usize, border: usize) {
+        self.n = n;
+        self.height = n + border;
+        self.data.resize(packed_offset(self.height, n), 0.0);
+        self.diag.resize(self.height, 0.0);
+    }
+
+    /// Dimension `n` of the matrix (excluding border rows).
+    pub fn dim(&self) -> usize {
+        self.n
+    }
+
+    /// Column `j`: rows `j..n + border`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j >= self.dim()`.
+    pub fn column(&self, j: usize) -> &[f64] {
+        assert!(j < self.n, "column {j} out of range for dim {}", self.n);
+        &self.data[packed_offset(self.height, j)..packed_offset(self.height, j + 1)]
+    }
+
+    /// Mutable column `j`: rows `j..n + border`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j >= self.dim()`.
+    pub fn column_mut(&mut self, j: usize) -> &mut [f64] {
+        assert!(j < self.n, "column {j} out of range for dim {}", self.n);
+        &mut self.data[packed_offset(self.height, j)..packed_offset(self.height, j + 1)]
+    }
+
+    /// Factors the matrix in place (`A = L Lᵀ`), turning each border row
+    /// `b` into `L⁻¹b`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::NotPositiveDefinite`] with the first
+    /// failing pivot and its value, exactly as [`Cholesky::factor`]
+    /// reports it. Columns before the failing one then hold `L`, later
+    /// ones are untouched, so a retry must refill every column.
+    pub fn factor(&mut self) -> Result<(), LinalgError> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, checked on the line above.
+            return unsafe { self.factor_avx2() };
+        }
+        self.factor_portable()
+    }
+
+    /// [`PackedLower::factor`] without SIMD: 16 rows per `k`, then the
+    /// rest four and one at a time.
+    fn factor_portable(&mut self) -> Result<(), LinalgError> {
+        self.eliminate(|data, diag, h, j, r, len, ljj| {
+            if len == BLOCK {
+                return rows_portable::<BLOCK>(data, diag, h, j, r, ljj);
+            }
+            let mut r = r;
+            while r + 4 <= h {
+                rows_portable::<4>(data, diag, h, j, r, ljj);
+                r += 4;
+            }
+            for r in r..h {
+                rows_portable::<1>(data, diag, h, j, r, ljj);
+            }
+        })
+    }
+
+    /// [`PackedLower::factor`] with AVX2: 16 rows per `k` in four
+    /// registers, and the last `len < 16` rows in `⌈len/4⌉` registers
+    /// whose final one is masked.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn factor_avx2(&mut self) -> Result<(), LinalgError> {
+        self.eliminate(|data, diag, h, j, r, len, ljj| {
+            // SAFETY: this closure only runs inside `factor_avx2`, whose
+            // caller guarantees AVX2, and `eliminate` passes
+            // `j < r` and `len` rows ending at most at `h`.
+            unsafe {
+                match len.div_ceil(4) {
+                    1 => rows_avx2::<1>(data, diag, h, j, r, len, ljj),
+                    2 => rows_avx2::<2>(data, diag, h, j, r, len, ljj),
+                    3 => rows_avx2::<3>(data, diag, h, j, r, len, ljj),
+                    _ => rows_avx2::<4>(data, diag, h, j, r, len, ljj),
+                }
+            }
+        })
+    }
+
+    /// The elimination loop shared by both paths. `block(data, diag, h,
+    /// j, r, len, L[j][j])` finishes rows `r..r + len` of column `j`
+    /// (`len ≤ 16`, and `len < 16` only for a column's last rows). Inlined
+    /// into each caller so the AVX2 blocks compile with AVX2 enabled.
+    #[inline(always)]
+    fn eliminate(
+        &mut self,
+        block: impl Fn(&mut [f64], &mut [f64], usize, usize, usize, usize, f64),
+    ) -> Result<(), LinalgError> {
+        let (n, h) = (self.n, self.height);
+        for j in 0..n {
+            self.diag[j] = self.data[packed_offset(h, j)];
+        }
+        for j in 0..n {
+            let pivot = self.diag[j];
+            if pivot <= 0.0 || !pivot.is_finite() {
+                return Err(LinalgError::NotPositiveDefinite {
+                    pivot: j,
+                    value: pivot,
+                });
+            }
+            let ljj = pivot.sqrt();
+            self.data[packed_offset(h, j)] = ljj;
+            let mut r = j + 1;
+            while r < h {
+                let len = BLOCK.min(h - r);
+                block(&mut self.data, &mut self.diag, h, j, r, len, ljj);
+                r += len;
+            }
+        }
+        Ok(())
+    }
+
+    /// Log-determinant of the factored matrix, `2 Σ ln L[j][j]`, summed
+    /// exactly as [`Cholesky::log_det`] sums it.
+    pub fn log_det(&self) -> f64 {
+        log_det_from_pivots((0..self.n).map(|j| self.column(j)[0]))
+    }
+
+    /// Solves `Lᵀ x = y` in place (backward substitution over the
+    /// factored columns), in [`solve_upper_from_lower_transpose`]'s
+    /// order, so `x` is bit-identical to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.dim()`.
+    pub fn solve_upper(&self, x: &mut [f64]) {
+        let n = self.n;
+        assert_eq!(x.len(), n, "solve_upper shape mismatch");
+        for i in (0..n).rev() {
+            let col = &self.column(i)[..n - i];
+            let (head, done) = x.split_at_mut(i + 1);
+            let mut sum = head[i];
+            for (&lki, &xk) in col[1..].iter().zip(&*done) {
+                sum -= lki * xk;
+            }
+            head[i] = sum / col[0];
+        }
+    }
+}
+
+/// Start of column `j` in packed storage whose columns are `height` rows
+/// tall at column 0 and one row shorter per column: `Σ_{c<j} (height − c)`.
+fn packed_offset(height: usize, j: usize) -> usize {
+    j * height - j * j.saturating_sub(1) / 2
+}
+
+/// Rows per full elimination block.
+const BLOCK: usize = 16;
+
+/// Portable row block: `R` entries of column `j`, each its own chain.
+#[inline(always)]
+fn rows_portable<const R: usize>(
+    data: &mut [f64],
+    diag: &mut [f64],
+    h: usize,
+    j: usize,
+    r: usize,
+    ljj: f64,
+) {
+    let (done, rest) = data.split_at_mut(packed_offset(h, j));
+    let out = &mut rest[r - j..r - j + R];
+    let mut acc = [0.0f64; R];
+    acc.copy_from_slice(out);
+    let mut col = 0;
+    for k in 0..j {
+        let ljk = done[col + j - k];
+        let rows = &done[col + r - k..col + r - k + R];
+        for (a, &lik) in acc.iter_mut().zip(rows) {
+            *a -= lik * ljk;
+        }
+        col += h - k;
+    }
+    for ((o, d), a) in out.iter_mut().zip(&mut diag[r..r + R]).zip(acc) {
+        let lij = a / ljj;
+        *o = lij;
+        *d -= lij * lij;
+    }
+}
+
+/// AVX2 row block: rows `r..r + len` of column `j`, four per register
+/// (`4(V−1) < len ≤ 4V`; lanes past `len` in the last register are
+/// masked off), with `mul` then `sub` so each lane rounds exactly like
+/// [`rows_portable`].
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+///
+/// # Panics
+///
+/// Panics unless `j < r`, `r + len ≤ h`, `len` fits `V` registers, and
+/// `data`/`diag` have the [`PackedLower`] shape for height `h`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+#[allow(clippy::too_many_arguments)]
+unsafe fn rows_avx2<const V: usize>(
+    data: &mut [f64],
+    diag: &mut [f64],
+    h: usize,
+    j: usize,
+    r: usize,
+    len: usize,
+    ljj: f64,
+) {
+    use std::arch::x86_64::{
+        __m256d, _mm256_broadcast_sd, _mm256_cmpgt_epi64, _mm256_div_pd, _mm256_loadu_pd,
+        _mm256_maskload_pd, _mm256_maskstore_pd, _mm256_mul_pd, _mm256_set1_epi64x, _mm256_set1_pd,
+        _mm256_setr_epi64x, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd,
+    };
+    assert!(
+        j < r && r + len <= h && len > 4 * (V - 1) && len <= 4 * V,
+        "row block out of range"
+    );
+    assert!(data.len() >= packed_offset(h, j + 1) && diag.len() >= h);
+    // Lanes of the last register that hold rows (all four when full).
+    let live = (len - 4 * (V - 1)) as i64;
+    let mask = _mm256_cmpgt_epi64(_mm256_set1_epi64x(live), _mm256_setr_epi64x(0, 1, 2, 3));
+    let base = data.as_mut_ptr();
+    // SAFETY: for every pointer below, by the asserts, rows r..r + len
+    // lie inside column j and every earlier column k (which spans rows
+    // k..h), row j lies inside every column k < j, and diag has h
+    // entries. Only the last register's live lanes are loaded/stored
+    // past `4(V−1)`; masked-off lanes are never touched.
+    unsafe {
+        let out = base.add(packed_offset(h, j) + r - j);
+        let load = |p: *const f64, v: usize| {
+            if v + 1 < V {
+                _mm256_loadu_pd(p.add(4 * v))
+            } else {
+                _mm256_maskload_pd(p.add(4 * v), mask)
+            }
+        };
+        let mut acc: [__m256d; V] = [_mm256_setzero_pd(); V];
+        for (v, a) in acc.iter_mut().enumerate() {
+            *a = load(out, v);
+        }
+        let mut col = base as *const f64;
+        for k in 0..j {
+            let ljk = _mm256_broadcast_sd(&*col.add(j - k));
+            let rows = col.add(r - k);
+            for (v, a) in acc.iter_mut().enumerate() {
+                *a = _mm256_sub_pd(*a, _mm256_mul_pd(load(rows, v), ljk));
+            }
+            col = col.add(h - k);
+        }
+        let pivot = _mm256_set1_pd(ljj);
+        let d = diag.as_mut_ptr().add(r);
+        for (v, a) in acc.into_iter().enumerate() {
+            let lij = _mm256_div_pd(a, pivot);
+            let dv = _mm256_sub_pd(load(d, v), _mm256_mul_pd(lij, lij));
+            if v + 1 < V {
+                _mm256_storeu_pd(out.add(4 * v), lij);
+                _mm256_storeu_pd(d.add(4 * v), dv);
+            } else {
+                _mm256_maskstore_pd(out.add(4 * v), mask, lij);
+                _mm256_maskstore_pd(d.add(4 * v), mask, dv);
+            }
+        }
     }
 }
 
@@ -472,8 +782,9 @@ mod tests {
         a
     }
 
-    /// The textbook row-by-row Cholesky loop: the oracle the
-    /// column-interleaved [`Cholesky::factor`] must match bit for bit.
+    /// The textbook row-by-row Cholesky loop: the oracle both
+    /// [`PackedLower`] paths, and so [`Cholesky::factor`], must match bit
+    /// for bit.
     pub(super) fn factor_row_order(a: &Matrix) -> Result<Matrix, LinalgError> {
         let n = a.rows();
         let mut l = Matrix::zeros(n, n);
@@ -510,42 +821,150 @@ mod tests {
                 .all(|(x, y)| x.to_bits() == y.to_bits())
     }
 
+    /// A factorization path of [`PackedLower`].
+    pub(super) type Path = fn(&mut PackedLower) -> Result<(), LinalgError>;
+
+    /// Every elimination path this CPU can run, called directly.
+    pub(super) fn paths() -> Vec<(&'static str, Path)> {
+        let mut paths: Vec<(&'static str, Path)> = vec![("portable", PackedLower::factor_portable)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, checked on the line above.
+            paths.push(("avx2", |p| unsafe { p.factor_avx2() }));
+        }
+        paths
+    }
+
+    /// Packs `a`'s lower triangle with `b` as a border row (if any),
+    /// factors it along `path`, and unpacks `L` and `L⁻¹b`.
+    pub(super) fn factor_packed(
+        a: &Matrix,
+        b: Option<&[f64]>,
+        path: Path,
+    ) -> Result<(Matrix, Vec<f64>), LinalgError> {
+        let n = a.rows();
+        let mut p = PackedLower::default();
+        p.reset(n, usize::from(b.is_some()));
+        for j in 0..n {
+            let col = p.column_mut(j);
+            for i in j..n {
+                col[i - j] = a[(i, j)];
+            }
+            if let Some(b) = b {
+                col[n - j] = b[j];
+            }
+        }
+        path(&mut p)?;
+        let l = Matrix::from_fn(n, n, |i, j| if i >= j { p.column(j)[i - j] } else { 0.0 });
+        let y = match b {
+            Some(_) => (0..n).map(|j| p.column(j)[n - j]).collect(),
+            None => Vec::new(),
+        };
+        Ok((l, y))
+    }
+
+    fn same_vec_bits(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
     #[test]
     fn factor_is_bit_identical_to_row_order_for_every_size() {
-        // Covers every `n % 4`, so both the four-row blocks and every
-        // remainder length run.
-        for n in 0..=40 {
+        // Every n up to 40 covers each count of 16-row blocks, 4-row
+        // blocks and single rows per column; 120 and 200 are the sizes
+        // the hyperparameter search and the benchmarks run at.
+        for n in (0..=40).chain([120, 200]) {
             let a = spd_matrix(n, 100 + n as u64);
-            let fast = Cholesky::factor(&a).unwrap();
+            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
             let oracle = factor_row_order(&a).unwrap();
-            assert!(same_bits(fast.l(), &oracle), "n = {n}");
+            let y_oracle = solve_lower(&oracle, &b);
+            assert!(
+                same_bits(Cholesky::factor(&a).unwrap().l(), &oracle),
+                "n = {n}"
+            );
+            for (name, path) in paths() {
+                let (l, _) = factor_packed(&a, None, path).unwrap();
+                assert!(same_bits(&l, &oracle), "{name}, n = {n}");
+                // The border row comes out as L⁻¹b in solve_lower's order.
+                let (l, y) = factor_packed(&a, Some(&b), path).unwrap();
+                assert!(same_bits(&l, &oracle), "{name} bordered, n = {n}");
+                assert!(same_vec_bits(&y, &y_oracle), "{name} L⁻¹b, n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn packed_solve_and_log_det_match_cholesky() {
+        for n in [1, 5, 17, 40] {
+            let a = spd_matrix(n, 300 + n as u64);
+            let b: Vec<f64> = (0..n).map(|i| 1.0 - i as f64 * 0.1).collect();
+            let chol = Cholesky::factor(&a).unwrap();
+            let mut p = PackedLower::default();
+            p.reset(n, 1);
+            for j in 0..n {
+                let col = p.column_mut(j);
+                for i in j..n {
+                    col[i - j] = a[(i, j)];
+                }
+                col[n - j] = b[j];
+            }
+            p.factor().unwrap();
+            let mut x: Vec<f64> = (0..n).map(|j| p.column(j)[n - j]).collect();
+            p.solve_upper(&mut x);
+            assert!(same_vec_bits(&x, &chol.solve_vec(&b)), "n = {n}");
+            assert_eq!(p.log_det().to_bits(), chol.log_det().to_bits(), "n = {n}");
         }
     }
 
     #[test]
     fn non_spd_failure_matches_row_order() {
-        // SPD except for one negated diagonal entry in the middle, so the
-        // failing pivot comes after earlier columns are eliminated.
-        for n in 2..=24 {
+        // SPD except for one negated diagonal entry, so the failing pivot
+        // comes after earlier columns are eliminated; sizes span every
+        // block shape.
+        for n in (2..=40).chain([120]) {
             let mut a = spd_matrix(n, 200 + n as u64);
             let k = n / 2;
             a[(k, k)] = -a[(k, k)];
-            let fast = Cholesky::factor(&a).unwrap_err();
             let oracle = factor_row_order(&a).unwrap_err();
-            match (fast, oracle) {
-                (
-                    LinalgError::NotPositiveDefinite { pivot, value },
-                    LinalgError::NotPositiveDefinite {
-                        pivot: want_pivot,
-                        value: want_value,
-                    },
-                ) => {
-                    assert_eq!(pivot, want_pivot, "n = {n}");
-                    assert_eq!(value.to_bits(), want_value.to_bits(), "n = {n}");
+            let mut got = vec![("factor", Cholesky::factor(&a).unwrap_err())];
+            for (name, path) in paths() {
+                got.push((
+                    name,
+                    factor_packed(&a, Some(&vec![1.0; n]), path).unwrap_err(),
+                ));
+            }
+            for (name, err) in got {
+                match (err, &oracle) {
+                    (
+                        LinalgError::NotPositiveDefinite { pivot, value },
+                        LinalgError::NotPositiveDefinite {
+                            pivot: want_pivot,
+                            value: want_value,
+                        },
+                    ) => {
+                        assert_eq!(pivot, *want_pivot, "{name}, n = {n}");
+                        assert_eq!(value.to_bits(), want_value.to_bits(), "{name}, n = {n}");
+                    }
+                    other => panic!("{name}, n = {n}: {other:?}"),
                 }
-                other => panic!("n = {n}: {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn jitter_shifts_follow_the_schedule() {
+        let from_zero: Vec<Option<f64>> = jitter_shifts(0.0, 4).collect();
+        assert_eq!(
+            from_zero,
+            [
+                None,
+                Some(1e-10),
+                Some(1e-10 * 10.0),
+                Some(1e-10 * 10.0 * 10.0)
+            ]
+        );
+        let from_given: Vec<Option<f64>> = jitter_shifts(1e-6, 2).collect();
+        assert_eq!(from_given, [Some(1e-6), Some(1e-6 * 10.0)]);
+        assert_eq!(jitter_shifts(0.0, 0).count(), 1);
     }
 
     #[test]
@@ -564,6 +983,77 @@ mod tests {
         let (chol, jitter) = Cholesky::factor_with_jitter(&b, 0.0, 12).unwrap();
         assert_eq!(jitter, 0.0);
         assert!(same_bits(chol.l(), Cholesky::factor(&b).unwrap().l()));
+    }
+
+    #[test]
+    fn jitter_retries_match_row_order_on_every_path() {
+        // Runs the schedule as the hyperparameter search does: every
+        // attempt refills the packed storage (the failed factorization
+        // overwrote it) with `a + shift·I` and the border row.
+        fn run<T>(
+            a: &Matrix,
+            mut attempt: impl FnMut(&Matrix) -> Result<T, LinalgError>,
+        ) -> Result<(Option<f64>, T), LinalgError> {
+            let mut last = LinalgError::Singular;
+            for shift in jitter_shifts(0.0, 12) {
+                let mut shifted = a.clone();
+                shifted.add_diagonal(shift.unwrap_or(0.0));
+                match attempt(&shifted) {
+                    Ok(t) => return Ok((shift, t)),
+                    Err(e) => last = e,
+                }
+            }
+            Err(last)
+        }
+        // Rank 1, so the unshifted attempt fails and the schedule climbs.
+        let v: Vec<f64> = (0..9).map(|i| 0.3 + i as f64 * 0.1).collect();
+        let rank_one = Matrix::from_fn(9, 9, |i, j| v[i] * v[j]);
+        // 40 points over 7 distinct rows: a singular Gram-like matrix.
+        let dup = Matrix::from_fn(40, 40, |i, j| {
+            let (p, q) = ((i % 7) as f64, (j % 7) as f64);
+            (-0.5 * (p - q) * (p - q)).exp()
+        });
+        // Non-finite everywhere on the diagonal: every attempt fails.
+        let mut broken = spd_matrix(6, 8);
+        broken.add_diagonal(f64::INFINITY);
+        for a in [rank_one, dup, broken] {
+            let n = a.rows();
+            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).cos()).collect();
+            let oracle = run(&a, |s| {
+                let l = factor_row_order(s)?;
+                let y = solve_lower(&l, &b);
+                Ok((l, y))
+            });
+            match n {
+                9 => assert!(matches!(oracle, Ok((Some(_), _))), "no retry was forced"),
+                6 => assert!(oracle.is_err(), "an attempt succeeded"),
+                _ => {}
+            }
+            for (name, path) in paths() {
+                match (run(&a, |s| factor_packed(s, Some(&b), path)), &oracle) {
+                    (Ok((shift, (l, y))), Ok((want_shift, (want_l, want_y)))) => {
+                        assert_eq!(shift, *want_shift, "{name}, n = {n}");
+                        assert!(same_bits(&l, want_l), "{name}, n = {n}");
+                        assert!(same_vec_bits(&y, want_y), "{name}, n = {n}");
+                    }
+                    (Err(err), Err(want)) => {
+                        let (
+                            LinalgError::NotPositiveDefinite { pivot, value },
+                            LinalgError::NotPositiveDefinite {
+                                pivot: want_pivot,
+                                value: want_value,
+                            },
+                        ) = (&err, want)
+                        else {
+                            panic!("{name}, n = {n}: {err:?} vs {want:?}");
+                        };
+                        assert_eq!(pivot, want_pivot, "{name}, n = {n}");
+                        assert_eq!(value.to_bits(), want_value.to_bits(), "{name}, n = {n}");
+                    }
+                    (got, want) => panic!("{name}, n = {n}: {got:?} vs {want:?}"),
+                }
+            }
+        }
     }
 
     #[test]
@@ -751,24 +1241,35 @@ mod proptests {
             n in 1usize..=40,
             diag in 1e-6f64..2.0,
             raw in proptest::collection::vec(-1.0f64..1.0, 1600),
+            rhs in proptest::collection::vec(-3.0f64..3.0, 40),
         ) {
             let b = Matrix::from_fn(n, n, |i, j| raw[i * n + j]);
             let mut a = &b * &b.transpose();
             a.add_diagonal(diag);
-            let fast = Cholesky::factor(&a);
+            let rhs = &rhs[..n];
             let oracle = super::tests::factor_row_order(&a);
-            match (fast, oracle) {
-                (Ok(fast), Ok(oracle)) => {
-                    prop_assert!(super::tests::same_bits(fast.l(), &oracle));
+            let mut got = vec![("factor", Cholesky::factor(&a).map(|c| (c.l().clone(), None)))];
+            for (name, path) in super::tests::paths() {
+                got.push((name, super::tests::factor_packed(&a, Some(rhs), path).map(|(l, y)| (l, Some(y)))));
+            }
+            for (name, fast) in got {
+                match (fast, &oracle) {
+                    (Ok((l, y)), Ok(oracle)) => {
+                        prop_assert!(super::tests::same_bits(&l, oracle), "{}", name);
+                        if let Some(y) = y {
+                            let want = solve_lower(oracle, rhs);
+                            prop_assert!(y.iter().zip(&want).all(|(p, q)| p.to_bits() == q.to_bits()), "{}", name);
+                        }
+                    }
+                    (
+                        Err(LinalgError::NotPositiveDefinite { pivot, value }),
+                        Err(LinalgError::NotPositiveDefinite { pivot: p, value: v }),
+                    ) => {
+                        prop_assert_eq!(pivot, *p);
+                        prop_assert_eq!(value.to_bits(), v.to_bits());
+                    }
+                    (fast, oracle) => prop_assert!(false, "{name}: {fast:?} vs {oracle:?}"),
                 }
-                (
-                    Err(LinalgError::NotPositiveDefinite { pivot, value }),
-                    Err(LinalgError::NotPositiveDefinite { pivot: p, value: v }),
-                ) => {
-                    prop_assert_eq!(pivot, p);
-                    prop_assert_eq!(value.to_bits(), v.to_bits());
-                }
-                (fast, oracle) => prop_assert!(false, "{fast:?} vs {oracle:?}"),
             }
         }
 
@@ -785,20 +1286,25 @@ mod proptests {
             let mut a = &b * &b.transpose();
             let k = k % n;
             a[(k, k)] *= 1.0 - dent;
-            let fast = Cholesky::factor(&a).map(|c| c.l().clone());
             let oracle = super::tests::factor_row_order(&a);
-            match (fast, oracle) {
-                (Ok(fast), Ok(oracle)) => {
-                    prop_assert!(super::tests::same_bits(&fast, &oracle));
+            let mut got = vec![("factor", Cholesky::factor(&a).map(|c| c.l().clone()))];
+            for (name, path) in super::tests::paths() {
+                got.push((name, super::tests::factor_packed(&a, None, path).map(|(l, _)| l)));
+            }
+            for (name, fast) in got {
+                match (fast, &oracle) {
+                    (Ok(fast), Ok(oracle)) => {
+                        prop_assert!(super::tests::same_bits(&fast, oracle), "{}", name);
+                    }
+                    (
+                        Err(LinalgError::NotPositiveDefinite { pivot, value }),
+                        Err(LinalgError::NotPositiveDefinite { pivot: p, value: v }),
+                    ) => {
+                        prop_assert_eq!(pivot, *p);
+                        prop_assert_eq!(value.to_bits(), v.to_bits());
+                    }
+                    (fast, oracle) => prop_assert!(false, "{name}: {fast:?} vs {oracle:?}"),
                 }
-                (
-                    Err(LinalgError::NotPositiveDefinite { pivot, value }),
-                    Err(LinalgError::NotPositiveDefinite { pivot: p, value: v }),
-                ) => {
-                    prop_assert_eq!(pivot, p);
-                    prop_assert_eq!(value.to_bits(), v.to_bits());
-                }
-                (fast, oracle) => prop_assert!(false, "{fast:?} vs {oracle:?}"),
             }
         }
 

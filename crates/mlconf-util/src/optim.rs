@@ -328,12 +328,12 @@ pub fn multi_start_nelder_mead_parallel<R: Rng + ?Sized>(
             .collect()
     } else {
         let next = std::sync::atomic::AtomicUsize::new(0);
-        let indexed: Vec<(usize, OptimResult)> = crossbeam::thread::scope(|s| {
+        let indexed: Vec<(usize, OptimResult)> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..threads.min(starts))
                 .map(|_| {
                     let next = &next;
                     let start_points = &start_points;
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         let mut out = Vec::new();
                         loop {
                             let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -352,8 +352,7 @@ pub fn multi_start_nelder_mead_parallel<R: Rng + ?Sized>(
                 .into_iter()
                 .flat_map(|h| h.join().expect("restart worker panicked"))
                 .collect()
-        })
-        .expect("restart scope failed");
+        });
         // Re-establish start order: which worker ran a restart is
         // scheduling noise and must not leak into the fold below.
         let mut slots: Vec<Option<OptimResult>> = vec![None; starts];
