@@ -124,6 +124,17 @@ fn csv_line(cells: &[String]) -> String {
         .join(",")
 }
 
+/// Formats a float for the hand-written `BENCH_*.json` artifacts:
+/// six-digit scientific notation, `null` for NaN and infinities (which
+/// JSON cannot represent).
+pub fn json_num(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:.6e}")
+    } else {
+        "null".to_string()
+    }
+}
+
 /// Formats a float compactly for table cells.
 pub fn fmt_num(v: f64) -> String {
     if !v.is_finite() {
@@ -188,5 +199,9 @@ mod tests {
         assert_eq!(fmt_num(1.23e7), "1.23e7");
         assert_eq!(fmt_num(0.001234), "1.23e-3");
         assert_eq!(fmt_num(f64::INFINITY), "inf");
+        assert_eq!(json_num(1.5), "1.500000e0");
+        assert_eq!(json_num(-0.000125), "-1.250000e-4");
+        assert_eq!(json_num(f64::NAN), "null");
+        assert_eq!(json_num(f64::NEG_INFINITY), "null");
     }
 }

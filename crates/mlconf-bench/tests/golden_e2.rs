@@ -3,7 +3,7 @@
 //! Runs a small fixed scale — the quick-scale seeds {11, 22, 33}, two
 //! fast workloads, a short budget — and compares every table cell
 //! against committed values. Any change to the simulator, the
-//! evaluator's seeding, a tuner's proposal stream, or the driver's RNG
+//! evaluator's seeding, a tuner's proposal stream, or the session's RNG
 //! layout shows up here as a cell diff, which is exactly the point:
 //! those streams are load-bearing for reproducibility, and drift must
 //! be a conscious, reviewed decision (regenerate by running this test
@@ -12,7 +12,6 @@
 use mlconf_bench::experiments::e2_quality;
 use mlconf_bench::experiments::Scale;
 use mlconf_tuners::bo::BoTuner;
-use mlconf_tuners::driver::{run_tuner, run_tuner_batched, StoppingRule};
 use mlconf_tuners::factory::build_tuner;
 use mlconf_tuners::session::{
     Ask, AskTellSession, Concurrency, TrialEvent, TrialObserver, TuningSession,
@@ -73,39 +72,45 @@ impl TrialObserver for CountingObserver {
     }
 }
 
-/// The session pipeline must reproduce the legacy driver entry points
-/// bit-for-bit at the golden scale — same seeds {11, 22, 33}, same
-/// budget — sequentially and in constant-liar batches, with observers
-/// attached. Any divergence here means the refactor moved an RNG draw
-/// or reordered a suggest/observe step, which would silently invalidate
-/// every committed results table.
+/// At the golden scale — seeds {11, 22, 33}, budget 14 — a run must be
+/// bit-identical whether or not an observer is attached, sequentially
+/// and in constant-liar batches, and a batched run must be bit-identical
+/// at 1, 2, 4 and 8 evaluation threads. Any divergence here means an RNG
+/// draw moved or a suggest/observe step was reordered, which would
+/// silently invalidate every committed results table.
 #[test]
-fn session_is_bit_identical_to_legacy_driver_at_golden_seeds() {
+fn session_is_bit_identical_across_threads_and_observers_at_golden_seeds() {
     for seed in [11u64, 22, 33] {
         let ev = ConfigEvaluator::new(mlp_mnist(), Objective::TimeToAccuracy, 16, seed);
+        let run = |concurrency: Concurrency, observed: bool| {
+            let mut tuner = BoTuner::with_defaults(ev.space().clone(), seed);
+            let mut session = TuningSession::new(&ev, 14, seed).concurrency(concurrency);
+            if observed {
+                session = session.observe_with(Box::new(CountingObserver::default()));
+            }
+            session.run(&mut tuner)
+        };
+        let batched = |eval_threads| Concurrency::Batched {
+            batch_size: 4,
+            eval_threads,
+        };
 
-        let mut legacy_tuner = BoTuner::with_defaults(ev.space().clone(), seed);
-        let legacy = run_tuner(&mut legacy_tuner, &ev, 14, StoppingRule::None, seed);
-        let mut session_tuner = BoTuner::with_defaults(ev.space().clone(), seed);
-        let session = TuningSession::new(&ev, 14, seed)
-            .observe_with(Box::new(CountingObserver::default()))
-            .run(&mut session_tuner);
-        assert_eq!(legacy, session, "sequential session diverged (seed {seed})");
-
-        let mut legacy_tuner = BoTuner::with_defaults(ev.space().clone(), seed);
-        let legacy = run_tuner_batched(&mut legacy_tuner, &ev, 14, 4, seed);
-        for eval_threads in [1, 2, 4, 8] {
-            let mut session_tuner = BoTuner::with_defaults(ev.space().clone(), seed);
-            let session = TuningSession::new(&ev, 14, seed)
-                .concurrency(Concurrency::Batched {
-                    batch_size: 4,
-                    eval_threads,
-                })
-                .observe_with(Box::new(CountingObserver::default()))
-                .run(&mut session_tuner);
+        assert_eq!(
+            run(Concurrency::Sequential, false),
+            run(Concurrency::Sequential, true),
+            "observer perturbed the sequential run (seed {seed})"
+        );
+        let one_thread = run(batched(1), false);
+        assert_eq!(
+            one_thread,
+            run(batched(1), true),
+            "observer perturbed the batched run (seed {seed})"
+        );
+        for eval_threads in [2, 4, 8] {
             assert_eq!(
-                legacy, session,
-                "batched session diverged (seed {seed}, {eval_threads} threads)"
+                one_thread,
+                run(batched(eval_threads), true),
+                "batched run diverged (seed {seed}, {eval_threads} threads)"
             );
         }
     }

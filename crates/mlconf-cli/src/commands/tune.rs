@@ -5,12 +5,11 @@
 use mlconf_sim::scenario::ScenarioScript;
 use mlconf_tuners::bo::BoConfig;
 use mlconf_tuners::drift::{DriftConfig, ReTunePolicy};
-use mlconf_tuners::driver::TuneResult;
 use mlconf_tuners::executor::{RetryPolicy, TimeoutPolicy, TrialExecutor};
 use mlconf_tuners::factory::{bo_spec, build_tuner};
 use mlconf_tuners::history_io::{load_csv, load_fault_plan, save_csv};
 use mlconf_tuners::session::{
-    config_json, json_escape, json_num, Concurrency, JsonlTraceSink, TuningSession,
+    config_json, json_escape, json_num, Concurrency, JsonlTraceSink, TuneResult, TuningSession,
 };
 use mlconf_tuners::transfer::{SourceHistory, WarmStartBo};
 use mlconf_tuners::tuner::Tuner;

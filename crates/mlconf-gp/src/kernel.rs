@@ -5,15 +5,13 @@
 //! log space (`[ln signal_variance, ln ℓ₁, …, ln ℓ_d]`) so the marginal-
 //! likelihood optimizer can search an unconstrained box.
 
-use serde::{Deserialize, Serialize};
-
 /// The kernel family.
 ///
 /// Matérn 5/2 is the default for configuration tuning (CherryPick's
 /// choice): it is rough enough to model performance cliffs yet smooth
 /// enough for stable interpolation. The squared-exponential and Matérn 3/2
 /// variants exist for the E5 ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelFamily {
     /// Squared-exponential (RBF): infinitely smooth.
     SquaredExp,
@@ -70,7 +68,7 @@ impl std::fmt::Display for KernelFamily {
 
 /// A stationary ARD kernel: `k(a, b) = σ² · g(r)` where
 /// `r² = Σ ((aᵢ−bᵢ)/ℓᵢ)²` and `g` depends on the family.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Kernel {
     family: KernelFamily,
     signal_variance: f64,

@@ -4,10 +4,8 @@
 //! search over): cores, memory, NIC bandwidth, per-core compute rate, and
 //! an hourly price used by cost-aware objectives.
 
-use serde::{Deserialize, Serialize};
-
 /// A machine (VM) type available to the cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineType {
     name: String,
     cores: u32,
@@ -149,7 +147,7 @@ pub fn catalog_names() -> Vec<String> {
 }
 
 /// The cluster's network fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Topology {
     /// Full-bisection fabric: every node pair communicates at NIC rate.
     #[default]
@@ -221,7 +219,7 @@ impl Topology {
 
 /// A concrete cluster: `num_nodes` homogeneous machines (persistent
 /// per-node speed heterogeneity is added by the straggler model).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     machine: MachineType,
     num_nodes: u32,

@@ -5,13 +5,11 @@
 //! overhead capture the sublinear scaling measured on real training
 //! frameworks.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cluster::MachineType;
 use crate::job::JobSpec;
 
 /// Parameters of the compute model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComputeModel {
     /// Serial (non-parallelizable) fraction of minibatch work.
     pub serial_fraction: f64,

@@ -2,7 +2,6 @@
 //! failure-overhead application.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::allreduce::run_allreduce;
 use crate::compute::ComputeModel;
@@ -16,7 +15,7 @@ use crate::runconfig::{Arch, RunConfig};
 use crate::straggler::StragglerModel;
 
 /// Options controlling one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimOptions {
     /// Optimization steps simulated per worker.
     pub steps_per_worker: u32,

@@ -11,12 +11,10 @@
 //!   their teeth: a BSP barrier transmits one node's outage to every
 //!   worker, while asynchronous execution contains it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimTime;
 
 /// An injected outage of one worker.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrashEvent {
     /// Index of the affected worker (0-based).
     pub worker: u32,
@@ -76,7 +74,7 @@ pub fn next_available(crashes: &[CrashEvent], worker: u32, t: SimTime) -> SimTim
 }
 
 /// Failure/checkpoint overhead parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FailureModel {
     /// Mean time between failures of a single node, in hours.
     pub node_mtbf_hours: f64,

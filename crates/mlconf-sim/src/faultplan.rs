@@ -9,18 +9,18 @@
 //! the E9 robustness experiment and the `TrialExecutor` retry layer in
 //! `mlconf-tuners`.
 //!
-//! Plans are plain data: serializable (`serde`), comparable, and
-//! generatable from a `(seed, severity)` pair via [`FaultPlan::scripted`]
-//! so two invocations anywhere produce byte-identical schedules.
+//! Plans are plain data: CSV round-trippable (`mlconf-tuners::history_io`),
+//! comparable, and generatable from a `(seed, severity)` pair via
+//! [`FaultPlan::scripted`] so two invocations anywhere produce
+//! byte-identical schedules.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::straggler::StragglerModel;
 use mlconf_util::rng::Pcg64;
 
 /// One kind of injected fault.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// The attempt dies partway through its measurement: no observation,
     /// `at_frac` of the run's machine cost is burned. Retryable.
@@ -124,7 +124,7 @@ impl FaultKind {
 
 /// One scheduled fault: `kind` strikes attempt number `attempt`
 /// (0-based) of trial number `trial` (0-based, in execution order).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// Trial index the fault targets.
     pub trial: usize,
@@ -139,7 +139,7 @@ pub struct FaultEvent {
 /// At most one fault applies per `(trial, attempt)` pair; later pushes
 /// for the same pair are rejected. Trials/attempts not named in the plan
 /// execute cleanly.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
 }

@@ -4,10 +4,8 @@
 //! bytes, parameter counts); higher-level workload semantics (convergence
 //! behaviour, targets) live in `mlconf-workloads`.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-sample and model-level resource demands of a training job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     name: String,
     /// Number of trainable parameters.

@@ -7,8 +7,6 @@
 //! reports memory infeasibility as a first-class outcome rather than
 //! silently clamping.
 
-use serde::{Deserialize, Serialize};
-
 use crate::job::JobSpec;
 use crate::runconfig::{Arch, RunConfig};
 
@@ -20,7 +18,7 @@ pub const OPTIMIZER_BYTES_PER_PARAM: f64 = 8.0;
 pub const FRAMEWORK_OVERHEAD_BYTES: f64 = 512.0 * 1024.0 * 1024.0;
 
 /// Why a configuration cannot run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Infeasibility {
     /// A worker's working set exceeds node memory.
     WorkerOom {

@@ -7,8 +7,6 @@
 //! cluster-configuration studies — it reproduces the compute/communication
 //! crossovers tuners must navigate without packet-level cost.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cluster::ClusterSpec;
 
 /// Compression ratio applied to gradient payloads when compression is on
@@ -16,7 +14,7 @@ use crate::cluster::ClusterSpec;
 pub const COMPRESSION_RATIO: f64 = 4.0;
 
 /// Parameters of the network model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
     /// Fraction of nominal NIC bandwidth achievable by bulk transfers
     /// (protocol and framing overhead).

@@ -1,13 +1,12 @@
 //! Results of a simulated training run.
 
 use mlconf_util::stats::OnlineStats;
-use serde::{Deserialize, Serialize};
 
 use crate::memory::Infeasibility;
 
 /// Where a training step's wall-clock time went, summed over the measured
 /// window (seconds of aggregate worker time).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhaseBreakdown {
     /// Gradient computation.
     pub compute: f64,
@@ -46,7 +45,7 @@ impl PhaseBreakdown {
 }
 
 /// Outcome of simulating a configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     infeasibility: Option<Infeasibility>,
     steps_measured: u64,

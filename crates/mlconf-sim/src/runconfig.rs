@@ -1,12 +1,10 @@
 //! The validated system configuration a single simulation run executes
 //! under — the decoded form of a tuner-proposed `Configuration`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cluster::ClusterSpec;
 
 /// Synchronization discipline of parameter-server training.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncMode {
     /// Bulk-synchronous parallel: a barrier every step.
     Bsp,
@@ -41,7 +39,7 @@ impl std::fmt::Display for SyncMode {
 }
 
 /// Distribution architecture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Arch {
     /// Parameter-server: `num_ps` dedicated server nodes, the rest are
     /// workers.
@@ -89,7 +87,7 @@ impl std::fmt::Display for InvalidRunConfig {
 impl std::error::Error for InvalidRunConfig {}
 
 /// A fully specified system configuration for one training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunConfig {
     cluster: ClusterSpec,
     arch: Arch,

@@ -8,14 +8,13 @@
 //! the E17 dynamic-environment experiment and the drift-detection /
 //! re-tuning layer in `mlconf-tuners`.
 //!
-//! Scripts are plain data: serializable (`serde`), comparable, and
-//! generatable from a `(kind, seed)` pair via [`ScenarioScript::scripted`]
-//! in the same unconditional-draw style as
+//! Scripts are plain data: CSV round-trippable ([`ScenarioScript::to_csv`]),
+//! comparable, and generatable from a `(kind, seed)` pair via
+//! [`ScenarioScript::scripted`] in the same unconditional-draw style as
 //! [`FaultPlan::scripted`](crate::faultplan::FaultPlan::scripted), so two
 //! invocations anywhere produce byte-identical schedules.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use mlconf_util::rng::Pcg64;
 
@@ -24,7 +23,7 @@ use mlconf_util::rng::Pcg64;
 /// The neutral state (`compute_scale = net_scale = 1`, `node_delta = 0`)
 /// is exactly the static world every existing experiment runs in:
 /// applying it changes nothing, bit for bit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnvState {
     /// Multiplier on per-core compute rate (machine phase changes,
     /// co-tenant interference). Must be positive and finite.
@@ -96,7 +95,7 @@ impl Default for EnvState {
 
 /// One scheduled environment change: `env` takes effect at `at_secs` and
 /// holds until the next event (piecewise-constant semantics).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioEvent {
     /// Wall-clock epoch (seconds) the state takes effect.
     pub at_secs: f64,
@@ -109,7 +108,7 @@ pub struct ScenarioEvent {
 /// Before the first event (and for an empty script) the environment is
 /// [`EnvState::neutral`]; each event's state holds until the next
 /// event's epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioScript {
     name: String,
     events: Vec<ScenarioEvent>,

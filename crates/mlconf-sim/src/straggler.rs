@@ -12,10 +12,9 @@
 
 use mlconf_util::dist::{LogNormal, Pareto};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the straggler model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StragglerModel {
     /// Coefficient of variation of persistent per-node speed factors.
     pub node_speed_cv: f64,

@@ -4,12 +4,8 @@
 //! which keeps runs bit-for-bit reproducible; `f64` seconds are only used
 //! at the API boundary.
 
-use serde::{Deserialize, Serialize};
-
 /// A point in simulated time (microseconds since simulation start).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

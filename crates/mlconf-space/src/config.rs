@@ -1,8 +1,6 @@
 //! A concrete configuration: an assignment of values to every parameter of
 //! a space, in the space's declaration order.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::SpaceError;
 use crate::param::ParamValue;
 
@@ -25,7 +23,7 @@ use crate::param::ParamValue;
 /// assert_eq!(cfg.get_str("arch")?, "ps");
 /// # Ok::<(), mlconf_space::error::SpaceError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Configuration {
     entries: Vec<(String, ParamValue)>,
 }

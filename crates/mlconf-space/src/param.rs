@@ -1,11 +1,9 @@
 //! Typed tunable parameters and their values.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::SpaceError;
 
 /// A concrete value assigned to a parameter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ParamValue {
     /// Integer value (e.g. number of workers).
     Int(i64),
@@ -103,7 +101,7 @@ impl From<bool> for ParamValue {
 }
 
 /// The domain of a tunable parameter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ParamKind {
     /// Integer range `[lo, hi]`, inclusive. With `log = true` the unit
     /// encoding is logarithmic (requires `lo >= 1`), appropriate for
@@ -164,7 +162,7 @@ impl ParamKind {
 }
 
 /// A named tunable parameter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Param {
     name: String,
     kind: ParamKind,

@@ -334,8 +334,8 @@ pub fn load_csv<R: BufRead>(space: &ConfigSpace, r: R) -> Result<TrialHistory, H
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{run_tuner, StoppingRule};
     use crate::random::RandomSearch;
+    use crate::session::TuningSession;
     use mlconf_workloads::evaluator::ConfigEvaluator;
     use mlconf_workloads::objective::Objective;
     use mlconf_workloads::workload::{mlp_mnist, w2v_wiki};
@@ -343,7 +343,7 @@ mod tests {
     fn real_history(seed: u64) -> (TrialHistory, ConfigSpace) {
         let ev = ConfigEvaluator::new(w2v_wiki(), Objective::TimeToAccuracy, 16, seed);
         let mut t = RandomSearch::new(ev.space().clone());
-        let r = run_tuner(&mut t, &ev, 25, StoppingRule::None, seed);
+        let r = TuningSession::new(&ev, 25, seed).run(&mut t);
         (r.history, ev.space().clone())
     }
 

@@ -1,6 +1,5 @@
-//! The session orchestration layer: one composable pipeline owning the
-//! suggest→execute→observe loop that the four legacy `run_tuner*` entry
-//! points used to duplicate.
+//! The session orchestration layer: the one composable pipeline owning
+//! the suggest→execute→observe loop.
 //!
 //! [`TuningSession`] is a builder: pick an execution policy (passthrough
 //! or a [`TrialExecutor`] with timeouts/retries/fault plans), a
@@ -28,13 +27,11 @@
 //!
 //! # Determinism contract
 //!
-//! The session reproduces the legacy drivers bit-for-bit: the driver RNG
-//! is the same `Pcg64` stream, suggestions and observations happen in
-//! the same order, batched rounds preassign repetition indices, trial
-//! indices, and the incumbent cutoff before fanning out, and results are
-//! committed in suggestion order — so results are identical across any
-//! evaluation thread count, and identical to the pre-session
-//! `run_tuner`/`run_tuner_batched_executed` outputs (golden-tested in
+//! A run is a pure function of its seed: the loop RNG is one `Pcg64`
+//! stream, batched rounds preassign repetition indices, trial indices,
+//! and the incumbent cutoff before fanning out, and results are
+//! committed in suggestion order — so results are bit-identical across
+//! any evaluation thread count (golden-tested in
 //! `mlconf-bench/tests/golden_e2.rs`). Observers are pure consumers:
 //! they receive borrowed events and cannot perturb the run (property-
 //! tested below).
@@ -1357,7 +1354,7 @@ impl<'o> AskTellSession<'o> {
 
     /// Post-suggestion acquisition conditions. Counters persist across
     /// suggestions; a missing diagnostic leaves them untouched, an
-    /// above-threshold reading resets them (legacy semantics).
+    /// above-threshold reading resets them.
     fn acquisition_stop(&mut self, tuner: &dyn Tuner) -> Option<StopReason> {
         for (i, c) in self.conditions.iter().enumerate() {
             let StopCondition::AcquisitionBelow {
@@ -1459,8 +1456,7 @@ impl<'o> AskTellSession<'o> {
         self.history.push(cfg, executed.outcome);
     }
 
-    /// Constant-liar batched rounds (the legacy
-    /// `run_tuner_batched_executed` loop, verbatim modulo events).
+    /// Constant-liar batched rounds.
     ///
     /// Within a round, each suggestion after the first is made against a
     /// *fantasy* history in which the pending suggestions were already
@@ -1612,7 +1608,7 @@ impl<'o> AskTellSession<'o> {
 mod tests {
     use super::*;
     use crate::bo::BoTuner;
-    use crate::driver::{run_tuner, run_tuner_batched_executed, StoppingRule};
+    use crate::grid::GridSearch;
     use crate::random::RandomSearch;
     use mlconf_workloads::objective::Objective;
     use mlconf_workloads::workload::mlp_mnist;
@@ -1633,30 +1629,184 @@ mod tests {
         }
     }
 
-    #[test]
-    fn session_matches_legacy_sequential() {
-        let ev = evaluator(21);
-        let mut t1 = BoTuner::with_defaults(ev.space().clone(), 21);
-        let mut t2 = BoTuner::with_defaults(ev.space().clone(), 21);
-        let legacy = run_tuner(&mut t1, &ev, 12, StoppingRule::None, 21);
-        let session = TuningSession::new(&ev, 12, 21).run(&mut t2);
-        assert_eq!(legacy, session);
+    fn batched(batch_size: usize, eval_threads: usize) -> Concurrency {
+        Concurrency::Batched {
+            batch_size,
+            eval_threads,
+        }
     }
 
     #[test]
-    fn session_matches_legacy_batched() {
-        let ev = evaluator(22);
-        let mut t1 = BoTuner::with_defaults(ev.space().clone(), 22);
-        let mut t2 = BoTuner::with_defaults(ev.space().clone(), 22);
-        let legacy =
-            run_tuner_batched_executed(&mut t1, &ev, 16, 4, 22, &TrialExecutor::passthrough(), 2);
-        let session = TuningSession::new(&ev, 16, 22)
-            .concurrency(Concurrency::Batched {
-                batch_size: 4,
-                eval_threads: 2,
+    fn random_run_fills_budget() {
+        let ev = evaluator(1);
+        let mut t = RandomSearch::new(ev.space().clone());
+        let r = TuningSession::new(&ev, 12, 1).run(&mut t);
+        assert_eq!(r.history.len(), 12);
+        assert!(!r.stopped_early);
+        assert!(r.best_value().is_finite());
+        assert_eq!(r.tuner, "random");
+        assert_eq!(r.best_curve().len(), 12);
+        assert_eq!(r.cost_curve().len(), 12);
+        // The default passthrough executor never times out or retries.
+        assert_eq!(r.exec, ExecStats::default());
+    }
+
+    #[test]
+    fn grid_exhaustion_stops_early() {
+        let ev = evaluator(2);
+        // A coarse grid over 9 dims can still be large; cap hard.
+        let mut t = GridSearch::new(ev.space(), 1, 8);
+        let r = TuningSession::new(&ev, 100, 2).run(&mut t);
+        assert!(r.stopped_early);
+        assert_eq!(r.stop_reason, Some(StopReason::Exhausted));
+        assert!(r.history.len() <= 8);
+
+        let mut t = GridSearch::new(ev.space(), 1, 6);
+        let r = TuningSession::new(&ev, 100, 2)
+            .concurrency(batched(4, 0))
+            .run(&mut t);
+        assert!(r.stopped_early);
+        assert!(r.history.len() <= 6);
+    }
+
+    #[test]
+    fn acquisition_condition_ignored_by_diagnostics_free_tuners() {
+        let ev = evaluator(5);
+        let mut t = RandomSearch::new(ev.space().clone());
+        let r = TuningSession::new(&ev, 10, 5)
+            .stop_when(StopCondition::AcquisitionBelow {
+                min_trials: 1,
+                threshold: f64::INFINITY,
+                patience: 1,
             })
+            .run(&mut t);
+        assert_eq!(r.history.len(), 10, "random has no acquisition to stop on");
+    }
+
+    #[test]
+    fn batch_of_one_equals_sequential() {
+        let ev = evaluator(8);
+        let mut t1 = BoTuner::with_defaults(ev.space().clone(), 8);
+        let mut t2 = BoTuner::with_defaults(ev.space().clone(), 8);
+        let seq = TuningSession::new(&ev, 10, 8).run(&mut t1);
+        let bat = TuningSession::new(&ev, 10, 8)
+            .concurrency(batched(1, 0))
             .run(&mut t2);
-        assert_eq!(legacy, session);
+        assert_eq!(seq.history, bat.history);
+    }
+
+    #[test]
+    fn constant_liar_diversifies_model_phase_batches() {
+        let run = || {
+            let ev = evaluator(10);
+            let mut t = BoTuner::with_defaults(ev.space().clone(), 10);
+            TuningSession::new(&ev, 24, 10)
+                .concurrency(batched(4, 0))
+                .run(&mut t)
+        };
+        let r = run();
+        assert_eq!(r, run(), "parallel evaluation must stay deterministic");
+        assert_eq!(r.history.len(), 24);
+        // Past the init design rounds are model-driven: each round of 4
+        // should contain mostly distinct configurations.
+        let keys: Vec<String> = r.history.trials()[12..]
+            .iter()
+            .map(|t| t.config.key())
+            .collect();
+        for round in keys.chunks(4) {
+            let mut uniq: Vec<&String> = round.iter().collect();
+            uniq.sort();
+            uniq.dedup();
+            assert!(
+                uniq.len() >= round.len() - 1,
+                "round collapsed to {} unique of {}",
+                uniq.len(),
+                round.len()
+            );
+        }
+    }
+
+    #[test]
+    fn faulted_run_records_exec_stats_and_survives() {
+        use mlconf_sim::faultplan::FaultPlan;
+        let ev = evaluator(13);
+        let mut t = RandomSearch::new(ev.space().clone());
+        let plan = FaultPlan::scripted(20, 2.0, 13);
+        let r = TuningSession::new(&ev, 20, 13)
+            .executor(TrialExecutor::standard(13).with_plan(plan))
+            .run(&mut t);
+        assert_eq!(r.history.len(), 20, "faults must not shorten the run");
+        let hits = r.exec.timeouts + r.exec.crashes + r.exec.ooms + r.exec.retries;
+        assert!(hits > 0, "severity-2 plan over 20 trials should strike");
+        assert!(r.exec.wasted_machine_secs > 0.0);
+        // A good configuration is still found despite the chaos.
+        assert!(r.best_value().is_finite());
+        // Attempts are recorded on the outcomes themselves.
+        assert!(r.history.trials().iter().all(|t| t.outcome.attempts >= 1));
+    }
+
+    #[test]
+    fn executed_runs_bit_identical_across_thread_counts() {
+        use mlconf_sim::faultplan::FaultPlan;
+        // Same seed, same plan, retries and backoff active: 1/2/4/8
+        // evaluation threads must produce bit-identical results.
+        let run = |threads: usize| {
+            let ev = evaluator(14);
+            let mut t = BoTuner::with_defaults(ev.space().clone(), 14);
+            let plan = FaultPlan::scripted(16, 1.5, 14);
+            TuningSession::new(&ev, 16, 14)
+                .executor(TrialExecutor::standard(14).with_plan(plan))
+                .concurrency(batched(4, threads))
+                .run(&mut t)
+        };
+        let one = run(1);
+        for threads in [2, 4, 8] {
+            assert_eq!(one, run(threads), "{threads}-thread run diverged");
+        }
+        assert_eq!(one.history.len(), 16);
+    }
+
+    #[test]
+    fn incumbent_timeout_censors_slow_configs() {
+        use crate::executor::TimeoutPolicy;
+        let ev = evaluator(16);
+        let mut t = RandomSearch::new(ev.space().clone());
+        // Tight incumbent-relative cutoff: anything 1.2× slower than the
+        // incumbent is killed and right-censored.
+        let ex = TrialExecutor::passthrough().with_timeout(TimeoutPolicy::IncumbentRelative {
+            factor: 1.2,
+            min_secs: 0.0,
+        });
+        let r = TuningSession::new(&ev, 25, 16).executor(ex).run(&mut t);
+        assert!(r.exec.timeouts > 0, "tight cutoff should censor something");
+        let censored: Vec<_> = r
+            .history
+            .trials()
+            .iter()
+            .filter(|t| t.outcome.is_censored())
+            .collect();
+        assert_eq!(censored.len(), r.exec.timeouts);
+        for c in &censored {
+            assert!(!c.outcome.is_ok(), "censored trials are not successes");
+            assert!(c.outcome.censored_at.unwrap() > 0.0);
+        }
+        // The incumbent itself still stands.
+        assert!(r.best_value().is_finite());
+    }
+
+    #[test]
+    fn trials_and_cost_to_within() {
+        let ev = evaluator(7);
+        let mut t = RandomSearch::new(ev.space().clone());
+        let r = TuningSession::new(&ev, 20, 7).run(&mut t);
+        let best = r.best_value();
+        let n = r.trials_to_within(best, 1.0).unwrap();
+        assert!(n <= 20);
+        let c = r.cost_to_within(best, 1.0).unwrap();
+        assert!(c > 0.0);
+        // An unreachable target returns None.
+        assert_eq!(r.trials_to_within(best / 1e9, 1.0), None);
+        assert_eq!(r.cost_to_within(best / 1e9, 1.0), None);
     }
 
     #[test]
@@ -1759,21 +1909,25 @@ mod tests {
     }
 
     #[test]
-    fn acquisition_condition_matches_legacy_rule() {
+    fn acquisition_condition_fires() {
         let ev = evaluator(26);
-        let rule = StoppingRule::AcquisitionBelow {
-            min_trials: 14,
-            threshold: f64::INFINITY,
-            patience: 2,
-        };
-        let mut t1 = BoTuner::with_defaults(ev.space().clone(), 26);
-        let mut t2 = BoTuner::with_defaults(ev.space().clone(), 26);
-        let legacy = run_tuner(&mut t1, &ev, 60, rule, 26);
-        let session = TuningSession::new(&ev, 60, 26)
-            .stop_conditions(rule.conditions())
-            .run(&mut t2);
-        assert_eq!(legacy, session);
-        assert_eq!(session.stop_reason, Some(StopReason::AcquisitionConverged));
+        let mut t = BoTuner::with_defaults(ev.space().clone(), 26);
+        // Absurdly high threshold: any acquisition is "below", so the
+        // run stops right after min_trials + patience suggestions.
+        let r = TuningSession::new(&ev, 60, 26)
+            .stop_when(StopCondition::AcquisitionBelow {
+                min_trials: 14,
+                threshold: f64::INFINITY,
+                patience: 2,
+            })
+            .run(&mut t);
+        assert!(r.stopped_early);
+        assert_eq!(r.stop_reason, Some(StopReason::AcquisitionConverged));
+        assert!(
+            r.history.len() < 30,
+            "never fired ({} trials)",
+            r.history.len()
+        );
     }
 
     #[test]

@@ -5,7 +5,6 @@ use mlconf_space::config::Configuration;
 use mlconf_space::error::SpaceError;
 use mlconf_util::rng::Pcg64;
 use mlconf_workloads::objective::TrialOutcome;
-use serde::{Deserialize, Serialize};
 
 /// Error returned by a tuner's `suggest`.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,7 +34,7 @@ impl From<SpaceError> for TunerError {
 }
 
 /// One completed trial.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrialRecord {
     /// Trial index (0-based, in execution order).
     pub index: usize,
@@ -46,7 +45,7 @@ pub struct TrialRecord {
 }
 
 /// Ordered record of all completed trials.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TrialHistory {
     trials: Vec<TrialRecord>,
 }
@@ -371,8 +370,8 @@ impl TunerState {
 
 /// A configuration tuner: proposes the next configuration to try.
 ///
-/// Tuners are driven by [`run_tuner`](crate::driver::run_tuner): the
-/// driver evaluates each suggestion and appends it to the shared
+/// Tuners are driven by [`TuningSession`](crate::session::TuningSession):
+/// the session evaluates each suggestion and appends it to the shared
 /// [`TrialHistory`] before the next `suggest` call, so stateless tuners
 /// can be written purely against the history.
 pub trait Tuner {

@@ -1,8 +1,6 @@
 //! Streaming and batch statistics used by the simulator's metric sinks and
 //! the experiment harness (summaries, quantiles, error metrics).
 
-use serde::{Deserialize, Serialize};
-
 /// Numerically stable streaming mean/variance/min/max (Welford's method).
 ///
 /// # Examples
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.mean(), 2.0);
 /// assert_eq!(s.count(), 3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,

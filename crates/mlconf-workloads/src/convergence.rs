@@ -16,10 +16,9 @@
 
 use mlconf_util::dist::LogNormal;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Convergence parameters of one workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvergenceModel {
     /// Asymptotic number of optimization steps to target at infinite
     /// batch size.

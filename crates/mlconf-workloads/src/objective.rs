@@ -7,7 +7,6 @@
 
 use mlconf_sim::outcome::SimResult;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::workload::Workload;
 
@@ -16,7 +15,7 @@ use crate::workload::Workload;
 pub const PROVISIONING_SECS: f64 = 120.0;
 
 /// What the tuner minimizes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Objective {
     /// Wall-clock seconds to reach the workload's target quality.
     TimeToAccuracy,
@@ -44,7 +43,7 @@ impl Objective {
 }
 
 /// Result of evaluating one configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrialOutcome {
     /// The objective value (lower is better); `None` when the
     /// configuration failed to run (OOM or unmappable).

@@ -9,12 +9,11 @@
 //! they are named for.
 
 use mlconf_sim::job::JobSpec;
-use serde::{Deserialize, Serialize};
 
 use crate::convergence::ConvergenceModel;
 
 /// The resource regime a workload predominantly stresses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Regime {
     /// Gradient computation dominates.
     ComputeBound,
@@ -39,7 +38,7 @@ impl Regime {
 }
 
 /// A tunable distributed-training workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     job: JobSpec,
     convergence: ConvergenceModel,
